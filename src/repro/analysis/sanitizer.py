@@ -49,9 +49,16 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 #: Absolute tolerance for the memo-purity re-price comparison.
 MEMO_TOL = 1e-12
 
-#: Absolute tolerance for byte-conservation comparisons (charges are
-#: floats; admission sums are exact, but parallel plans divide).
+#: Absolute tolerance for KV-transfer byte comparisons (live bytes are
+#: floats, and parallel plans divide them).
 BYTES_TOL = 1e-6
+
+#: The ledgers' running totals, each with the invariant its drift from
+#: a fresh per-request recount violates.  Blocks come first: a block
+#: drift also shows up as a byte drift.
+LEDGER_TOTALS = {"used_blocks": "block conservation",
+                 "charged_bytes": "byte conservation",
+                 "resident_tokens": "token conservation"}
 
 #: Re-price every Nth priced step by default (1 = every step).
 DEFAULT_CHECK_EVERY = 16
@@ -139,8 +146,11 @@ class SanitizedLedger:
     * block conservation (paged): blocks allocated == blocks held +
       blocks freed, and never negative; a failed ``grow`` must charge
       nothing;
-    * byte sanity: the charged pool (``reserved_bytes`` −
-      ``static_bytes``) is never negative.
+    * byte sanity: the charged pool (``charged_bytes``) is never
+      negative;
+    * running totals: every O(1) total the ledger keeps
+      (:data:`LEDGER_TOTALS`) equals, exactly, its fresh recount from
+      the per-request state.
     """
 
     def __init__(self, inner: MemoryLedger) -> None:
@@ -227,13 +237,13 @@ class SanitizedLedger:
                 op=op, request=request_id,
                 ledger=inner.active_requests,
                 expected=len(self._resident))
-        charged_bytes = inner.reserved_bytes - inner.static_bytes
-        if charged_bytes < -BYTES_TOL:
+        if inner.charged_bytes < 0:
             raise SanitizerError(
                 "negative charge",
                 f"after {op} of request {request_id} the charged pool "
-                f"is negative ({charged_bytes:.1f} bytes)",
-                op=op, request=request_id, charged_bytes=charged_bytes)
+                f"is negative ({inner.charged_bytes} bytes)",
+                op=op, request=request_id,
+                charged_bytes=inner.charged_bytes)
         if isinstance(inner, BlockAllocator):
             live = self._allocated_blocks - self._freed_blocks
             if live < 0 or live != inner.used_blocks:
@@ -246,6 +256,19 @@ class SanitizedLedger:
                     op=op, request=request_id,
                     allocated=self._allocated_blocks,
                     freed=self._freed_blocks, live=inner.used_blocks)
+        recounts = inner.recount()
+        for total, invariant in LEDGER_TOTALS.items():
+            if total not in recounts:
+                continue
+            running, recount = getattr(inner, total), recounts[total]
+            if running != recount:
+                raise SanitizerError(
+                    invariant,
+                    f"after {op} of request {request_id} the running "
+                    f"{total} ({running}) != its recount from the "
+                    f"per-request state ({recount})",
+                    op=op, request=request_id, total=total,
+                    running=running, recount=recount)
 
     def assert_drained(self) -> None:
         """End-of-trace check: every admitted request was released and
@@ -263,12 +286,11 @@ class SanitizedLedger:
                 "ledger leak",
                 f"trace completed with {self._used_blocks()} blocks "
                 "still held", blocks=self._used_blocks())
-        charged_bytes = inner.reserved_bytes - inner.static_bytes
-        if abs(charged_bytes) > BYTES_TOL:
+        if inner.charged_bytes:
             raise SanitizerError(
                 "ledger leak",
-                f"trace completed with {charged_bytes:.1f} bytes still "
-                "charged", charged_bytes=charged_bytes)
+                f"trace completed with {inner.charged_bytes} bytes still "
+                "charged", charged_bytes=inner.charged_bytes)
 
 
 class SanitizedDeviceLedgers:

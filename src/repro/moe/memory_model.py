@@ -318,6 +318,12 @@ class MemoryLedger:
     caches grow token by token; ``reserved_bytes`` reports what the
     admission policy has actually charged.  The serving metrics sample
     both per step.
+
+    Every charge is a whole number of bytes, and the ledger keeps
+    running totals of the charged bytes and the resident KV tokens that
+    :meth:`admit`, :meth:`grow` and :meth:`release` update, so every
+    query is O(1) in the number of resident requests.  :meth:`recount`
+    recomputes the totals from the per-request state.
     """
 
     config: MoEModelConfig
@@ -334,16 +340,30 @@ class MemoryLedger:
         self.budget_bytes = (float(self.spec.dram_capacity)
                              * (1.0 - FRAGMENTATION))
         self._context: dict[int, int] = {}
+        self._resident_tokens = 0
+        self._charged_bytes = 0
 
     # -- shared arithmetic ---------------------------------------------
-    def sequence_bytes(self, seq_len: int) -> float:
-        return per_sequence_bytes(self.config, self.engine, seq_len,
-                                  self.parallel)
+    def sequence_bytes(self, seq_len: int) -> int:
+        """Whole bytes charged for a ``seq_len``-token context: the
+        Table-3 per-sequence model, rounded up."""
+        return math.ceil(per_sequence_bytes(self.config, self.engine,
+                                            seq_len, self.parallel))
+
+    @property
+    def charged_bytes(self) -> int:
+        """Bytes charged to resident requests (static excluded)."""
+        return self._charged_bytes
+
+    @property
+    def resident_tokens(self) -> int:
+        """Live KV tokens summed over the resident requests."""
+        return self._resident_tokens
 
     @property
     def reserved_bytes(self) -> float:
         """Bytes the admission policy has charged (static included)."""
-        raise NotImplementedError
+        return self.static_bytes + self._charged_bytes
 
     @property
     def free_bytes(self) -> float:
@@ -378,18 +398,31 @@ class MemoryLedger:
         for an admitted request without raising."""
         raise NotImplementedError
 
-    def peak_bytes(self, final_seq_len: int) -> float:
+    def peak_bytes(self, final_seq_len: int) -> int:
         """Bytes this policy charges a request at its lifetime peak."""
         raise NotImplementedError
+
+    def _enter(self, request_id: int, prompt_tokens: int,
+               charge_bytes: int) -> None:
+        """Record an admitted request and its charge."""
+        self._context[request_id] = prompt_tokens
+        self._resident_tokens += prompt_tokens
+        self._charged_bytes += charge_bytes
 
     def grow(self, request_id: int, new_tokens: int = 1) -> None:
         """Advance a request's live KV context by ``new_tokens``."""
         self._require(request_id)
         self._context[request_id] += new_tokens
+        self._resident_tokens += new_tokens
 
     def release(self, request_id: int) -> None:
         """Free a finished (or preempted) request's charge."""
-        self._context.pop(request_id, None)
+        self._resident_tokens -= self._context.pop(request_id, 0)
+
+    def recount(self) -> dict[str, int]:
+        """The running totals recomputed from the per-request state, in
+        O(residents): each must equal the property of the same name."""
+        return {"resident_tokens": sum(self._context.values())}
 
     def max_concurrent(self, seq_len: int) -> int:
         """Emergent concurrency limit for uniform fully-grown
@@ -410,16 +443,10 @@ class MemoryLedger:
     def active_requests(self) -> int:
         return len(self._context)
 
-    def kv_tokens(self) -> list[int]:
-        """Live KV context lengths per resident request, in ledger
-        (admission) order — the order :attr:`live_bytes` sums in."""
-        return list(self._context.values())
-
     @property
     def live_bytes(self) -> float:
         """Instantaneous footprint: static + grown-so-far KV caches."""
-        kv_bytes = sum(kv_cache_bytes(self.config, tokens)
-                       for tokens in self._context.values())
+        kv_bytes = kv_cache_bytes(self.config, self._resident_tokens)
         if self.parallel is not None and not self.parallel.is_trivial:
             kv_bytes /= self.parallel.tp
         return self.static_bytes + kv_bytes
@@ -445,11 +472,7 @@ class KVCacheTracker(MemoryLedger):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self._reserved: dict[int, float] = {}
-
-    @property
-    def reserved_bytes(self) -> float:
-        return self.static_bytes + sum(self._reserved.values())
+        self._reserved: dict[int, int] = {}
 
     def can_admit(self, final_seq_len: int) -> bool:
         """Would a request peaking at ``final_seq_len`` tokens fit?"""
@@ -473,7 +496,7 @@ class KVCacheTracker(MemoryLedger):
         if request_id in self._reserved:
             raise ConfigError(f"request {request_id} already admitted")
         self._reserved[request_id] = need_bytes
-        self._context[request_id] = prompt_tokens
+        self._enter(request_id, prompt_tokens, need_bytes)
 
     def admission_chunk(self, desired_tokens: int,
                         final_seq_len: int) -> int:
@@ -483,12 +506,16 @@ class KVCacheTracker(MemoryLedger):
         self._require(request_id)
         return desired_tokens          # peak already reserved at admit
 
-    def peak_bytes(self, final_seq_len: int) -> float:
+    def peak_bytes(self, final_seq_len: int) -> int:
         return self.sequence_bytes(final_seq_len)
 
     def release(self, request_id: int) -> None:
-        self._reserved.pop(request_id, None)
+        self._charged_bytes -= self._reserved.pop(request_id, 0)
         super().release(request_id)
+
+    def recount(self) -> dict[str, int]:
+        return {**super().recount(),
+                "charged_bytes": sum(self._reserved.values())}
 
 
 @dataclass
@@ -517,19 +544,20 @@ class BlockAllocator(MemoryLedger):
         if self.page_size <= 0:
             raise ConfigError("page_size must be positive")
         self._blocks: dict[int, int] = {}
-        self._cum_memo: dict[int, float] = {0: 0.0}
+        self._used_blocks = 0
+        self._cum_memo: dict[int, int] = {0: 0}
 
     # -- block arithmetic ----------------------------------------------
     def blocks_for(self, tokens: int) -> int:
         """Blocks needed to hold ``tokens`` KV entries."""
         return -(-max(tokens, 0) // self.page_size)
 
-    def block_bytes(self, blocks: int) -> float:
+    def block_bytes(self, blocks: int) -> int:
         """Cumulative charge for one request's first ``blocks`` blocks.
 
         Priced by the Table-3 per-sequence model at the padded context,
         so per-block marginals telescope exactly to
-        :func:`per_sequence_bytes`.
+        :meth:`sequence_bytes`.
         """
         cached_bytes = self._cum_memo.get(blocks)
         if cached_bytes is None:
@@ -539,12 +567,13 @@ class BlockAllocator(MemoryLedger):
 
     @property
     def used_blocks(self) -> int:
-        return sum(self._blocks.values())
+        return self._used_blocks
 
-    @property
-    def reserved_bytes(self) -> float:
-        return self.static_bytes + sum(self.block_bytes(blocks)
-                                       for blocks in self._blocks.values())
+    def recount(self) -> dict[str, int]:
+        return {**super().recount(),
+                "charged_bytes": sum(self.block_bytes(blocks)
+                                     for blocks in self._blocks.values()),
+                "used_blocks": sum(self._blocks.values())}
 
     # -- admission policy ----------------------------------------------
     def can_admit_request(self, prompt_tokens: int,
@@ -567,7 +596,8 @@ class BlockAllocator(MemoryLedger):
                 required_bytes=int(need_bytes),
                 available_bytes=int(max(self.free_bytes, 0)))
         self._blocks[request_id] = blocks
-        self._context[request_id] = prompt_tokens
+        self._used_blocks += blocks
+        self._enter(request_id, prompt_tokens, need_bytes)
 
     def admission_chunk(self, desired_tokens: int,
                         final_seq_len: int) -> int:
@@ -586,6 +616,8 @@ class BlockAllocator(MemoryLedger):
             return 0
         held = self._blocks[request_id]
         context = self._context[request_id]
+        if context + desired_tokens <= held * self.page_size:
+            return desired_tokens      # fits in the blocks already held
         free_bytes = self.free_bytes
         blocks = max(held, self.blocks_for(context))
         target = self.blocks_for(context + desired_tokens)
@@ -596,7 +628,7 @@ class BlockAllocator(MemoryLedger):
         return max(0, min(desired_tokens,
                           blocks * self.page_size - context))
 
-    def peak_bytes(self, final_seq_len: int) -> float:
+    def peak_bytes(self, final_seq_len: int) -> int:
         return self.block_bytes(self.blocks_for(final_seq_len))
 
     def grow(self, request_id: int, new_tokens: int = 1) -> None:
@@ -608,8 +640,8 @@ class BlockAllocator(MemoryLedger):
         self._require(request_id)
         context = self._context[request_id] + new_tokens
         held = self._blocks[request_id]
-        needed = self.blocks_for(context)
-        if needed > held:
+        if context > held * self.page_size:     # crosses a block boundary
+            needed = self.blocks_for(context)
             delta_bytes = self.block_bytes(needed) \
                 - self.block_bytes(held)
             if delta_bytes > self.free_bytes:
@@ -621,10 +653,15 @@ class BlockAllocator(MemoryLedger):
                     required_bytes=int(delta_bytes),
                     available_bytes=int(max(self.free_bytes, 0)))
             self._blocks[request_id] = needed
+            self._used_blocks += needed - held
+            self._charged_bytes += delta_bytes
         self._context[request_id] = context
+        self._resident_tokens += new_tokens
 
     def release(self, request_id: int) -> None:
-        self._blocks.pop(request_id, None)
+        blocks = self._blocks.pop(request_id, 0)
+        self._used_blocks -= blocks
+        self._charged_bytes -= self.block_bytes(blocks)
         super().release(request_id)
 
 
@@ -724,10 +761,10 @@ class DeviceLedgers:
     def active_requests(self) -> int:
         return self.ledgers[0].active_requests
 
-    def sequence_bytes(self, seq_len: int) -> float:
+    def sequence_bytes(self, seq_len: int) -> int:
         return max(led.sequence_bytes(seq_len) for led in self.ledgers)
 
-    def peak_bytes(self, final_seq_len: int) -> float:
+    def peak_bytes(self, final_seq_len: int) -> int:
         return max(led.peak_bytes(final_seq_len) for led in self.ledgers)
 
     def max_concurrent(self, seq_len: int) -> int:

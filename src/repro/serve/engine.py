@@ -467,8 +467,9 @@ class ServingEngine:
             the general path would have done: the same pricing
             composition as :meth:`StepPricer._price` for a decode-only
             plan, the same ``max(clock, clock + step_s)`` clock update,
-            the same per-step sample values (``live_bytes`` summed over
-            the same per-request KV lengths in ledger order).  Only the
+            the same per-step sample values (``live_bytes`` from the
+            ledger's resident-token total, every running request one
+            token further per step).  Only the
             work whose outcome is already known is skipped — planning,
             per-token ledger growth (bulk-applied afterwards), the
             preemption machinery and the finish scan.  Stops *before*
@@ -494,7 +495,7 @@ class ServingEngine:
             layers = self._layers
             config, spec = self.ctx.config, self.ctx.spec
             static_bytes = ledger.static_bytes
-            resident_tokens = ledger.kv_tokens()
+            resident_tokens = ledger.resident_tokens
             reserved_bytes = ledger.reserved_bytes
             util = ledger.pool_utilisation
             residents = ledger.active_requests
@@ -503,21 +504,6 @@ class ServingEngine:
             # could become due at a step boundary — is a constant.
             head = queue.peek()
             barrier = head.when if head is not None else None
-            # ``live_bytes`` closed form: the per-token KV charge is an
-            # integer number of bytes for every registry model, so
-            # per-request growth sums collapse to exact integer
-            # arithmetic; one cross-check against the general path's
-            # per-request float sum guards the assumption (falling
-            # back to that sum if a config ever breaks it).
-            per_token_bytes = kv_cache_bytes(config, 1)
-            kv_int_bytes = int(per_token_bytes)
-            total0_tokens = sum(resident_tokens)
-            closed_form = (
-                float(kv_int_bytes) == per_token_bytes
-                and static_bytes
-                + float(kv_int_bytes * (total0_tokens + batch))
-                == static_bytes + sum(kv_cache_bytes(config, t + 1)
-                                      for t in resident_tokens))
             # Inline the flash decode-attention arithmetic (the same
             # float ops as decode_attention_cost, minus the call and
             # the AttentionCost object); the rare flash=False context
@@ -551,14 +537,8 @@ class ServingEngine:
                 clock = clock if clock >= when else when
                 busy += step_s
                 context_tokens += batch
-                if closed_form:
-                    live_bytes = static_bytes + float(
-                        kv_int_bytes * (total0_tokens
-                                        + committed * batch))
-                else:
-                    live_bytes = static_bytes + sum(
-                        kv_cache_bytes(config, t + committed)
-                        for t in resident_tokens)
+                live_bytes = static_bytes + kv_cache_bytes(
+                    config, resident_tokens + committed * batch)
                 observe(StepSample(clock, 0, residents, batch,
                                    live_bytes, reserved_bytes, util,
                                    0.0, step_s))

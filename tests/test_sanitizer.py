@@ -172,6 +172,20 @@ def test_block_conservation_detected():
         ledger.grow(1)
 
 
+@pytest.mark.parametrize("total,invariant", [
+    ("_charged_bytes", "byte conservation"),
+    ("_resident_tokens", "token conservation"),
+])
+def test_running_total_drift_detected(total, invariant):
+    inner = make_allocator()
+    ledger = SanitizedLedger(inner)
+    ledger.admit(1, 64, 96)
+    # The bug: a running total drifts from the per-request state.
+    setattr(inner, total, getattr(inner, total) + 1)
+    with pytest.raises(SanitizerError, match=invariant):
+        ledger.grow(1)
+
+
 def test_failed_block_growth_charges_nothing():
     inner = make_allocator()
     ledger = SanitizedLedger(inner)
