@@ -25,7 +25,7 @@ from repro.api.spec import DeploymentSpec
 from repro.context import ExecutionContext
 from repro.serve.batcher import Batcher, make_batcher
 from repro.serve.disagg import DisaggCluster, DisaggServingEngine, PoolSpec
-from repro.serve.engine import ServingEngine
+from repro.serve.engine import Pool, ServingEngine
 from repro.serve.metrics import ServeReport
 from repro.workloads import WORKLOADS, Request, assign_tenants
 
@@ -128,23 +128,6 @@ class Deployment:
             batch_size=pool.batch_size or serving.batch_size,
             max_running=pool.max_running or serving.max_running)
 
-    def _build_pool_engine(self, pool: PoolSpec) -> ServingEngine:
-        """The classic engine carrying one pool's context, batcher and
-        ledger configuration.  Pool engines never own the horizon —
-        the disaggregated event loop holds the shared clock."""
-        model, serving, w = (self.spec.model, self.spec.serving,
-                             self.spec.workload)
-        return ServingEngine(ctx=self.build_pool_context(pool),
-                             batcher=self.build_pool_batcher(pool),
-                             num_layers=model.num_layers,
-                             routing_skew=w.routing_skew,
-                             seed=w.seed,
-                             page_size=serving.page_size,
-                             placement_policy=serving.placement,
-                             tenants=w.tenants,
-                             scheduler=serving.scheduler,
-                             sanitize=serving.sanitize or None)
-
     def build_engine(self) -> "ServingEngine | DisaggServingEngine":
         """The serving engine, ready to ``run()`` a trace.
 
@@ -153,22 +136,32 @@ class Deployment:
         serving both phases — also runs colocated (with the pool's
         overrides applied), which is what pins the degenerate-config
         report byte-identical to a pool-free spec.  Genuine multi-pool
-        specs build a :class:`DisaggServingEngine`; each pool's
+        specs build a :class:`DisaggServingEngine` over one
+        :class:`~repro.serve.engine.Pool` per pool; each pool's
         parallel plan comes from its own ``parallel`` field
         (``hardware.parallel`` applies to colocated runs only).
         """
-        model, serving, w = (self.spec.model, self.spec.serving,
-                             self.spec.workload)
+        serving, w = self.spec.serving, self.spec.workload
+        # What every pool takes, and what one run shares across pools.
+        pool_settings = dict(num_layers=self.spec.model.num_layers,
+                             routing_skew=w.routing_skew, seed=w.seed,
+                             page_size=serving.page_size,
+                             placement_policy=serving.placement,
+                             sanitize=serving.sanitize or None)
+        run_settings = dict(tenants=w.tenants, scheduler=serving.scheduler,
+                            horizon_s=serving.horizon_s)
         pools = serving.pools
         if pools is not None:
             cluster = DisaggCluster.build(pools,
                                           link=serving.transfer_link)
             if not cluster.is_degenerate:
                 return DisaggServingEngine(
-                    cluster,
-                    [self._build_pool_engine(p) for p in cluster.pools],
-                    router=serving.router,
-                    horizon_s=serving.horizon_s)
+                    [Pool(self.build_pool_context(p),
+                          self.build_pool_batcher(p), name=p.name,
+                          role=p.role, **pool_settings)
+                     for p in cluster.pools],
+                    link=cluster.link, router=serving.router,
+                    **run_settings)
         degenerate = pools[0] if pools is not None else None
         ctx = (self.build_pool_context(degenerate)
                if degenerate is not None and (
@@ -177,17 +170,8 @@ class Deployment:
                else self.build_context())
         batcher = (self.build_pool_batcher(degenerate)
                    if degenerate is not None else self.build_batcher())
-        return ServingEngine(ctx=ctx,
-                             batcher=batcher,
-                             num_layers=model.num_layers,
-                             routing_skew=w.routing_skew,
-                             seed=w.seed,
-                             page_size=serving.page_size,
-                             horizon_s=serving.horizon_s,
-                             placement_policy=serving.placement,
-                             tenants=w.tenants,
-                             scheduler=serving.scheduler,
-                             sanitize=serving.sanitize or None)
+        return ServingEngine(ctx=ctx, batcher=batcher, **pool_settings,
+                             **run_settings)
 
     # ------------------------------------------------------------------
     # Execution

@@ -73,10 +73,10 @@ PricedStep = "tuple[float, float, str | None]"
 class StepPricer:
     """Prices serving steps with exact memoisation.
 
-    Owns every cost memo of one :class:`~repro.serve.engine.ServingEngine`
-    (memos persist across ``run()`` calls, like the old loop's MoE
-    memo did).  Shares the engine's RNG so the stochastic LPT paths
-    draw the same per-step load sequence the reference loop draws.
+    Owns every cost memo of one :class:`~repro.serve.engine.Pool`
+    (memos persist across runs, like the old loop's MoE memo did).
+    Owns the pool's RNG so the stochastic LPT paths draw the same
+    per-step load sequence the reference loop draws.
     """
 
     def __init__(self, ctx: "ExecutionContext", layers: int,
@@ -145,7 +145,7 @@ class StepPricer:
         for chunk in plan.chunks:
             attn += self._chunk_attn(chunk.offset, chunk.tokens)
         if plan.decode:
-            attn += self._decode_attn(context, len(plan.decode))
+            attn += self.decode_attn(context, len(plan.decode))
         tokens = plan.total_tokens
         winner = None
         if self._auto and tokens > 0:
@@ -153,14 +153,14 @@ class StepPricer:
                      else "decode")
             winner = self._winner(tokens, phase)
         if not self._distributed:
-            layer = attn + self._moe_seconds(tokens) \
-                + self._norm_seconds(tokens)
+            layer = attn + self.moe_seconds(tokens) \
+                + self.norm_seconds(tokens)
             return (layer * self._layers, 0.0, winner)
         parallel = self.ctx.parallel
         moe_compute_s = self._distributed_moe_seconds(tokens)
         comm_s = self._comm_seconds(tokens)
         layer = (attn / parallel.tp + moe_compute_s
-                 + self._norm_seconds(tokens) + comm_s)
+                 + self.norm_seconds(tokens) + comm_s)
         return (layer * self._layers, comm_s * self._layers, winner)
 
     # ------------------------------------------------------------------
@@ -197,7 +197,7 @@ class StepPricer:
                 self.ctx.config, batch, self.ctx.spec)
         return proj_s
 
-    def _decode_attn(self, context: int, batch: int) -> float:
+    def decode_attn(self, context: int, batch: int) -> float:
         """Decode attention for a batch against ``context`` total cached
         tokens.  The context sum is different nearly every step (each
         resident request grew by one token), so memoising on it would
@@ -209,7 +209,8 @@ class StepPricer:
             batch=batch, flash=self.ctx.flash,
             proj_s=self.decode_proj(batch)).total_s
 
-    def _norm_seconds(self, tokens: int) -> float:
+    def norm_seconds(self, tokens: int) -> float:
+        """Memoised RMSNorm seconds for ``tokens`` new tokens."""
         cached_s = self._norm.get(tokens)
         if cached_s is None:
             cached_s = self._norm[tokens] = norm_seconds(
@@ -240,7 +241,7 @@ class StepPricer:
     # ------------------------------------------------------------------
     # MoE-layer paths (mirror the reference loop's three cases)
     # ------------------------------------------------------------------
-    def _moe_seconds(self, tokens: int) -> float:
+    def moe_seconds(self, tokens: int) -> float:
         """MoE-layer seconds for ``tokens`` new tokens in one step."""
         if tokens <= 0:
             return 0.0

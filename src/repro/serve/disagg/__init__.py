@@ -7,7 +7,7 @@ the cluster's inter-pool link.  See ``DESIGN.md`` ("Disaggregated
 serving") for the full model.
 """
 
-from repro.serve.disagg.engine import DisaggServingEngine, PoolStepComplete
+from repro.serve.disagg.engine import DisaggServingEngine
 from repro.serve.disagg.pools import (
     POOL_ROLES,
     DisaggCluster,
@@ -29,7 +29,6 @@ __all__ = [
     "PHASES",
     "POOL_ROLES",
     "PoolSpec",
-    "PoolStepComplete",
     "ROUTERS",
     "RouterPolicy",
     "make_router",

@@ -1,13 +1,14 @@
 """Pool model for disaggregated prefill/decode serving.
 
 A :class:`PoolSpec` names one GPU pool and the phase(s) it serves;
-a :class:`DisaggCluster` validates a set of pools and partitions the
-combined device topology into named slices.  Each pool runs its own
-engine selection, :class:`~repro.hw.interconnect.ParallelPlan`,
-batcher and memory ledger; finished prompts migrate from a
-prefill-role pool to a decode-role pool over the cluster's inter-pool
-link (priced by :meth:`~repro.hw.interconnect.LinkSpec.transfer_seconds`,
-scheduled as :class:`~repro.serve.events.KVTransfer` events).
+a :class:`DisaggCluster` validates a set of pools and carries their
+inter-pool link.  Each pool runs its own engine selection,
+:class:`~repro.hw.interconnect.ParallelPlan`, batcher and memory
+ledger (a :class:`~repro.serve.engine.Pool` at serving time); finished
+prompts migrate from a prefill-role pool to a decode-role pool over
+the link (priced by
+:meth:`~repro.hw.interconnect.LinkSpec.transfer_seconds`, scheduled as
+:class:`~repro.serve.events.KVTransfer` events).
 
 Validation follows the :class:`~repro.workloads.tenants.TenantSpec`
 convention: field-level errors raise :class:`~repro.errors.ConfigError`
@@ -22,21 +23,15 @@ from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigError
 from repro.hw.interconnect import (
-    ClusterSpec,
     LinkSpec,
     ParallelPlan,
     get_link,
     parse_parallel,
 )
-from repro.hw.spec import GPUSpec, get_gpu
+from repro.hw.spec import get_gpu
 from repro.moe.layers import ENGINES
 from repro.serve.batcher import BATCHER_NAMES
-
-#: Phase roles a pool can serve.  ``both`` is the colocated role: a
-#: request that prefills on a ``both`` pool decodes there too (no
-#: KV transfer), which is what makes the single-pool degenerate config
-#: reduce exactly to the classic engine.
-POOL_ROLES = ("prefill", "decode", "both")
+from repro.serve.engine import POOL_ROLES, Pool
 
 
 @dataclass(frozen=True)
@@ -154,13 +149,14 @@ class PoolSpec:
         return cls(**dict(payload))
 
 
-def validate_pools(pools: Sequence[PoolSpec]) -> None:
+def validate_pools(pools: Sequence[PoolSpec | Pool]) -> None:
     """Cross-pool invariants of one disaggregated deployment.
 
     Pool names must be unique (they key report sections and transfer
     events), and the set must be able to serve *both* phases — at
     least one prefill-capable and one decode-capable pool — or every
-    request would starve in one phase.
+    request would starve in one phase.  Checks pool specs and built
+    :class:`~repro.serve.engine.Pool` objects alike.
     """
     if not pools:
         raise ConfigError("pools: must declare at least one pool")
@@ -180,14 +176,8 @@ def validate_pools(pools: Sequence[PoolSpec]) -> None:
 
 @dataclass(frozen=True)
 class DisaggCluster:
-    """A validated set of pools plus their inter-pool transfer link.
-
-    The cluster partitions the combined device topology: every pool
-    contributes ``PoolSpec.num_devices`` copies of its GPU, and
-    :meth:`device_slices` names each pool's contiguous slice of the
-    union :class:`~repro.hw.interconnect.ClusterSpec` (joined by the
-    transfer link — the hop KV blocks cross on migration).
-    """
+    """A validated set of pools plus their inter-pool transfer link
+    (the hop KV blocks cross on migration)."""
 
     pools: tuple[PoolSpec, ...]
     link: LinkSpec
@@ -206,9 +196,9 @@ class DisaggCluster:
     def is_degenerate(self) -> bool:
         """A single pool serving both phases — the colocated limit.
 
-        Degenerate clusters never schedule a KV transfer; the serving
-        layer runs them through the classic engine so their reports
-        stay byte-identical to a pool-free deployment.
+        Degenerate clusters never route or schedule a KV transfer; the
+        deployment layer serves them through the colocated engine so
+        their reports stay byte-identical to a pool-free deployment.
         """
         return len(self.pools) == 1 and self.pools[0].role == "both"
 
@@ -224,46 +214,3 @@ class DisaggCluster:
         """Decode-capable pools in stable name order."""
         return tuple(sorted((p for p in self.pools if p.serves_decode),
                             key=lambda p: p.name))
-
-    def pool(self, name: str) -> PoolSpec:
-        for p in self.pools:
-            if p.name == name:
-                return p
-        known = ", ".join(p.name for p in self.pools)
-        raise ConfigError(f"unknown pool {name!r} (known: {known})")
-
-    def resolve_gpu(self, pool: PoolSpec,
-                    default_gpu: "GPUSpec | str") -> GPUSpec:
-        """The pool's device, falling back to the deployment default."""
-        name = pool.gpu if pool.gpu is not None else default_gpu
-        return name if isinstance(name, GPUSpec) else get_gpu(name)
-
-    def cluster_spec(self, default_gpu: "GPUSpec | str") -> ClusterSpec:
-        """Union topology: every pool's devices over the transfer link."""
-        gpus: list[GPUSpec] = []
-        for pool in self.pools:
-            gpus.extend([self.resolve_gpu(pool, default_gpu)]
-                        * pool.num_devices)
-        return ClusterSpec(gpus=tuple(gpus), link=self.link)
-
-    def device_slices(self) -> dict[str, tuple[int, int]]:
-        """Each pool's ``[start, stop)`` slice of the union topology,
-        in declaration order."""
-        slices: dict[str, tuple[int, int]] = {}
-        start = 0
-        for pool in self.pools:
-            stop = start + pool.num_devices
-            slices[pool.name] = (start, stop)
-            start = stop
-        return slices
-
-    def describe(self, default_gpu: "GPUSpec | str") -> str:
-        """Human-readable identity, e.g.
-        ``prefill=h100 + decode=w7900 over pcie4``."""
-        parts = []
-        for pool in self.pools:
-            gpu = self.resolve_gpu(pool, default_gpu)
-            count = pool.num_devices
-            suffix = f"x{count}" if count > 1 else ""
-            parts.append(f"{pool.name}={gpu.name}{suffix}")
-        return " + ".join(parts) + f" over {self.link.name}"

@@ -13,9 +13,10 @@ Event types and their meaning:
 
 * :class:`Arrival` — a request reaches the server and joins the waiting
   queue.  One is pushed per trace request at run start.
-* :class:`StepComplete` — an in-flight engine step finishes: its plan's
-  lifecycle effects (decode growth, prefill completion, chunk
-  accounting, preemptions) are applied at the completion clock.
+* :class:`StepComplete` — an in-flight engine step of one pool (the
+  event's ``pool`` index) finishes: its plan's lifecycle effects
+  (decode growth, prefill completion, chunk accounting, preemptions)
+  are applied at the completion clock.
 * :class:`Preempt` — a running request was evicted back to the waiting
   queue by the paged allocator.  Preemptions are *consequences* of a
   step completing, so they are dispatched immediately at the current
@@ -128,12 +129,17 @@ class StepComplete(Event):
     """An in-flight engine step finishes at ``when``.
 
     ``step_s`` is the step's modelled duration, ``comm_s`` its
-    communication share (multi-device runs).  The plan itself is held
-    by the engine (it is mutable step state, not event payload).
+    communication share (multi-device runs), ``pool`` the index of the
+    pool that planned it in the run's pool list (always 0 for
+    colocated serving).  The plan itself is held by that pool (it is
+    mutable step state, not event payload).  Two pools completing at
+    the same instant order by push sequence, which is deterministic
+    because planning iterates pools in stable name order.
     """
 
     step_s: float = 0.0
     comm_s: float = 0.0
+    pool: int = 0
 
     KIND = EventKind.STEP_COMPLETE
 

@@ -13,9 +13,6 @@ One package owns workload definition end to end:
 * :mod:`repro.workloads.registry` — the :data:`WORKLOADS` registry of
   :class:`WorkloadFactory` entries (``repro list workloads``);
 * :mod:`repro.workloads.gemm` — the kernel-benchmark GEMM case suites.
-
-``repro.serve.request`` and ``repro.bench.workloads`` remain as
-re-export shims, so pre-package imports keep working unchanged.
 """
 
 from repro.workloads.gemm import (

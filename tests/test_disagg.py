@@ -25,7 +25,7 @@ import pytest
 
 from repro.analysis.sanitizer import KVTransferAuditor, SanitizerError
 from repro.api import Deployment, DeploymentSpec
-from repro.errors import ConfigError
+from repro.errors import CapacityError, ConfigError
 from repro.serve.disagg import (
     DisaggCluster,
     DisaggServingEngine,
@@ -90,6 +90,33 @@ class TestDegenerateColocated:
                       {"name": "dc", "role": "decode"}]}))
         engine = Deployment(spec).build_engine()
         assert isinstance(engine, DisaggServingEngine)
+
+
+# ----------------------------------------------------------------------
+# A request no pool can fit fails the same way on every topology.
+# ----------------------------------------------------------------------
+class TestStuckRun:
+    @staticmethod
+    def _error(pools=None) -> CapacityError:
+        payload = {"model": {"num_layers": 1},
+                   "serving": {"pools": pools} if pools else {},
+                   "workload": {"requests": 4, "prompt_tokens": 200_000,
+                                "output_tokens": 8, "jitter": 0.0}}
+        with pytest.raises(CapacityError) as exc:
+            Deployment.from_dict(payload).run()
+        return exc.value
+
+    def test_multi_pool_error_carries_the_bytes(self):
+        """The prefill pool can never admit the 200k-token prompt: the
+        error names what it needs and what the pool has, exactly as
+        the colocated run on the same device does."""
+        err = self._error([{"name": "pf", "role": "prefill"},
+                           {"name": "dc", "role": "decode"}])
+        assert err.required_bytes > err.available_bytes > 0
+        colocated = self._error()
+        assert str(err) == str(colocated)
+        assert (err.required_bytes, err.available_bytes) == (
+            colocated.required_bytes, colocated.available_bytes)
 
 
 # ----------------------------------------------------------------------

@@ -24,10 +24,12 @@ from repro.moe.memory_model import (
     DeviceLedgers,
     KVCacheTracker,
 )
+from repro.moe.trace import zipf_expert_popularity
 from repro.serve.batcher import ActiveRequest, StepPlan
 from repro.serve.engine import ServingEngine, simulate
 from repro.serve.events import Arrival, EventKind, StepComplete
-from repro.serve.request import Request, poisson_trace
+from repro.utils.rng import new_rng
+from repro.workloads.traces import Request, poisson_trace
 
 MODEL = "qwen2-moe"
 
@@ -274,10 +276,9 @@ def test_healthy_grid_lifecycle_is_silent():
 # ----------------------------------------------------------------------
 def make_pricer(check_every=1):
     ctx = make_ctx()
-    engine = ServingEngine(ctx=ctx, seed=0)
-    return SanitizedStepPricer(ctx, engine._layers,
-                               engine._popularity, engine._rng,
-                               check_every=check_every)
+    popularity = zipf_expert_popularity(ctx.config.num_experts, 0.0)
+    return SanitizedStepPricer(ctx, ctx.config.num_layers, popularity,
+                               new_rng(0), check_every=check_every)
 
 
 def plan_for(*rids, generated=2):
@@ -356,11 +357,11 @@ def test_sanitized_report_byte_identical(kwargs):
 def test_env_var_enables_sanitizer(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     ctx = make_ctx()
-    engine = ServingEngine(ctx=ctx)
-    assert engine._sanitize is True
-    assert isinstance(engine._pricer, SanitizedStepPricer)
+    pool = ServingEngine(ctx=ctx).pool
+    assert pool.sanitize is True
+    assert isinstance(pool.pricer, SanitizedStepPricer)
     monkeypatch.delenv("REPRO_SANITIZE")
-    assert ServingEngine(ctx=ctx)._sanitize is False
+    assert ServingEngine(ctx=ctx).pool.sanitize is False
 
 
 def test_spec_sanitize_field_round_trips():
@@ -370,4 +371,4 @@ def test_spec_sanitize_field_round_trips():
     assert DeploymentSpec.from_dict(spec.to_dict()) == spec
     engine = __import__("repro.api.deployment", fromlist=["Deployment"]
                         ).Deployment(spec).build_engine()
-    assert engine._sanitize is True
+    assert engine.pool.sanitize is True

@@ -13,7 +13,7 @@ from repro.serve.batcher import (
     ContinuousBatcher,
     StaticBatcher,
 )
-from repro.serve.request import Request
+from repro.workloads.traces import Request
 
 CFG = MODEL_REGISTRY["mixtral-8x7b"]
 

@@ -13,10 +13,10 @@ change must update the reference snapshot, not relax this test.
 The reference loop shares the memory ledgers with the event core, so
 it cannot see a ledger drift, and it has no disaggregated counterpart
 at all.  The same fixtures (plus a tenant-scheduled chunked/paged
-``auto`` run and a disaggregated run with an ``ep=2`` paged decode
-pool) are therefore also pinned against reports committed under
-``tests/golden/``.  After an intentional behaviour change, regenerate
-them with ``PYTHONPATH=src python tests/test_serve_golden.py``.
+``auto`` run and four multi-pool runs) are therefore also pinned
+against reports committed under ``tests/golden/``.  After an
+intentional behaviour change, regenerate them with
+``PYTHONPATH=src python tests/test_serve_golden.py``.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from repro.context import ExecutionContext
 from repro.serve._legacy_loop import ReferenceEngine
 from repro.serve.batcher import ChunkedPrefillBatcher, StaticBatcher
 from repro.serve.engine import ServingEngine
-from repro.serve.request import poisson_trace
+from repro.workloads.traces import poisson_trace
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+EXAMPLE_CONFIGS = Path(__file__).resolve().parents[1] / "examples" / "configs"
 
 
 def _report(cls, case):
@@ -127,9 +128,15 @@ def test_fast_path_decode_run_is_byte_identical():
 # ----------------------------------------------------------------------
 # Frozen reports
 # ----------------------------------------------------------------------
-#: Deployment payloads the reference loop cannot replay.  Both run past
-#: their KV knee on rtx4070s devices, so the frozen reports include
-#: preemptions.
+#: Deployments the reference loop cannot replay: payloads, or a shipped
+#: config file.  The first two run past their KV knee on rtx4070s
+#: devices, so their frozen reports include preemptions.  The
+#: multi-pool cases pin the disaggregated paths one by one:
+#: heterogeneous pools under ``slo_slack`` with a rate-limited tenant
+#: (the shipped example); a horizon that cuts with KV transfers on the
+#: wire, chunked prefill, migrations blocked on decode admission and a
+#: decode-pool eviction re-routed to prefill; and ``RateRefill``
+#: wake-ups plus an arrival rejected by its tenant's token bucket.
 SPEC_CASES = {
     "tenants-chunked-paged-auto": {
         "model": {"name": "mixtral-8x7b", "engine": "auto",
@@ -166,13 +173,58 @@ SPEC_CASES = {
                      "prompt_tokens": 3072, "output_tokens": 256,
                      "routing_skew": 0.8, "seed": 7},
     },
+    "disagg-pools-example": EXAMPLE_CONFIGS / "disagg_pools.yaml",
+    "disagg-chunked-horizon": {
+        "model": {"name": "mixtral-8x7b", "engine": "samoyeds",
+                  "num_layers": 1},
+        "serving": {
+            "batcher": "chunked", "token_budget": 1024, "page_size": 16,
+            "router": "round_robin", "transfer_link": "pcie4",
+            "horizon_s": 0.6,
+            "pools": [
+                {"name": "pf", "role": "prefill", "gpu": "rtx4070s"},
+                {"name": "dc", "role": "decode", "gpu": "rtx4070s"},
+            ],
+        },
+        "workload": {"kind": "poisson", "requests": 48, "qps": 200.0,
+                     "prompt_tokens": 3072, "output_tokens": 128,
+                     "jitter": 0.5, "seed": 11},
+    },
+    "disagg-tenants-ratelimit": {
+        "model": {"name": "mixtral-8x7b", "engine": "samoyeds",
+                  "num_layers": 1},
+        "hardware": {"gpu": "a100"},
+        "serving": {
+            "scheduler": "priority_slack", "router": "slo_slack",
+            "transfer_link": "pcie4", "page_size": 16,
+            "pools": [
+                {"name": "pf-a", "role": "prefill", "gpu": "h100"},
+                {"name": "pf-b", "role": "prefill", "gpu": "h100"},
+                {"name": "dc", "role": "decode"},
+            ],
+        },
+        "workload": {
+            "kind": "bursty", "requests": 40, "qps": 50.0,
+            "burst_factor": 8.0, "burst_len": 20, "prompt_tokens": 512,
+            "output_tokens": 32, "jitter": 0.9, "seed": 5,
+            "tenants": [
+                {"name": "prod", "priority": 1, "share": 0.5,
+                 "ttft_slo_s": 0.2, "tpot_slo_s": 0.05},
+                {"name": "batch", "priority": 0, "share": 0.5,
+                 "token_rate_limit": 4000.0, "burst_tokens": 900},
+            ],
+        },
+    },
 }
 
 
 def _frozen_json(name: str) -> str:
     """The report of frozen fixture ``name``, as committed."""
     if name in SPEC_CASES:
-        report = Deployment.from_dict(SPEC_CASES[name]).run()
+        case = SPEC_CASES[name]
+        deployment = (Deployment.from_file(case) if isinstance(case, Path)
+                      else Deployment.from_dict(case))
+        report = deployment.run()
     else:
         report = _report(ServingEngine, FAST_PATH if name == "fast-path"
                          else CASES[name])

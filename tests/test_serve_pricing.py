@@ -31,7 +31,7 @@ from repro.serve._legacy_loop import (
 )
 from repro.serve.batcher import ActiveRequest, PrefillChunk, StepPlan
 from repro.serve.engine import ServingEngine
-from repro.serve.request import Request
+from repro.workloads.traces import Request
 from repro.utils.rng import new_rng
 
 ENGINES = ["samoyeds", "transformers", "megablocks", "vllm-ds", "pit",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.serve.request import (
+from repro.workloads.traces import (
     Request,
     bursty_trace,
     poisson_trace,

@@ -22,33 +22,6 @@ from repro.workloads import (
 )
 
 
-class TestMigrationShims:
-    """Satellite 1: old import paths stay alive and value-identical."""
-
-    def test_serve_request_reexports_traces(self):
-        import repro.serve.request as old
-        import repro.workloads.traces as new
-        assert old.Request is new.Request
-        assert old.poisson_trace is new.poisson_trace
-        assert old.bursty_trace is new.bursty_trace
-        assert old.replay_trace is new.replay_trace
-        assert old.validate_trace is new.validate_trace
-
-    def test_bench_workloads_reexports_gemm(self):
-        import repro.bench.workloads as old
-        import repro.workloads.gemm as new
-        assert old.GemmCase is new.GemmCase
-        assert old.synthetic_cases is new.synthetic_cases
-        assert old.realistic_cases is new.realistic_cases
-        assert old.scaling_cases is new.scaling_cases
-        assert old.SYNTHETIC_CASE_COUNT == new.SYNTHETIC_CASE_COUNT
-
-    def test_gemm_suite_unchanged_through_both_paths(self):
-        from repro.bench.workloads import synthetic_cases as via_shim
-        from repro.workloads.gemm import synthetic_cases as direct
-        assert via_shim() == direct()
-
-
 class TestGenerators:
     """Satellite 3: seeded determinism of the non-stationary shapes."""
 
