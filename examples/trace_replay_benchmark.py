@@ -2,18 +2,16 @@
 
 Replays a synthetic 100k-request chat-style trace (Poisson arrivals,
 256-512 output tokens) through the event-calendar serving core and
-prints wall-clock seconds and simulated requests/sec, then replays a
-slice of the same trace through the frozen pre-calendar reference
-loop to show the speedup the calendar + memoised pricing buys.  This
+prints wall-clock seconds, simulated requests/sec and steps/sec.  This
 is the acceptance workload behind ``repro bench sim`` — run that
-subcommand instead when you want the JSON report and the regression
-gate.
+subcommand instead when you want the JSON report, the
+machine-independent normalised number and the regression gate.
 
 Run:  PYTHONPATH=src python examples/trace_replay_benchmark.py
       PYTHONPATH=src python examples/trace_replay_benchmark.py --quick
 
 ``--quick`` (used by CI) shrinks the trace from 100k to 2k requests;
-the regime, and therefore the speedup ratio, stays comparable.
+the regime stays comparable.
 """
 
 import argparse
@@ -22,26 +20,10 @@ import time
 from repro.bench.simbench import synthetic_trace
 from repro.context import ExecutionContext
 from repro.serve import ServingEngine, sim_throughput
-from repro.serve._legacy_loop import ReferenceEngine
 
 MODEL, GPU, SEED = "mixtral-8x7b", "a100", 7
-REQUESTS, REFERENCE_REQUESTS = 100_000, 2_000
-QUICK_REQUESTS, QUICK_REFERENCE_REQUESTS = 2_000, 400
+REQUESTS, QUICK_REQUESTS = 100_000, 2_000
 MAX_STEPS = 100_000_000
-
-
-def replay(label: str, cls, trace) -> dict:
-    engine = cls(ctx=ExecutionContext.create(MODEL, "samoyeds", GPU),
-                 num_layers=1, seed=SEED)
-    start = time.perf_counter()
-    report = engine.run(trace, max_steps=MAX_STEPS)
-    wall = time.perf_counter() - start
-    stats = sim_throughput(len(trace), report.steps, wall)
-    print(f"  {label:16s} {len(trace):>7d} requests  "
-          f"{report.steps:>9d} steps  {wall:7.2f} s wall  "
-          f"{stats['requests_per_s']:8.1f} req/s  "
-          f"{stats['steps_per_s']:10.0f} steps/s")
-    return stats
 
 
 def main() -> None:
@@ -50,17 +32,21 @@ def main() -> None:
                         help="CI-sized run (2k requests)")
     args = parser.parse_args()
     requests = QUICK_REQUESTS if args.quick else REQUESTS
-    reference = (QUICK_REFERENCE_REQUESTS if args.quick
-                 else REFERENCE_REQUESTS)
 
     trace = synthetic_trace(requests, seed=SEED)
     print(f"replaying {requests} chat-style requests "
           f"({MODEL} on {GPU}, single layer):")
-    event = replay("event-calendar", ServingEngine, trace)
-    ref = replay("reference-loop", ReferenceEngine, trace[:reference])
-    speedup = event["requests_per_s"] / ref["requests_per_s"]
-    print(f"\n  speedup: {speedup:.1f}x simulated requests/sec "
-          f"over the pre-calendar loop")
+    engine = ServingEngine(ctx=ExecutionContext.create(MODEL, "samoyeds",
+                                                       GPU),
+                           num_layers=1, seed=SEED)
+    start = time.perf_counter()
+    report = engine.run(trace, max_steps=MAX_STEPS)
+    wall = time.perf_counter() - start
+    stats = sim_throughput(len(trace), report.steps, wall)
+    print(f"  event-calendar {len(trace):>7d} requests  "
+          f"{report.steps:>9d} steps  {wall:7.2f} s wall  "
+          f"{stats['requests_per_s']:8.1f} req/s  "
+          f"{stats['steps_per_s']:10.0f} steps/s")
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ Subcommands:
 * ``run config.yaml`` — execute a declarative deployment config file
   (single run or ``sweep:`` grid; see :mod:`repro.api`);
 * ``sim [--quick] [--check baseline.json]`` — benchmark the simulator
-  itself: replay a synthetic trace through the event-calendar core and
-  the frozen pre-calendar loop, emit ``BENCH_sim.json`` with
-  simulated-requests/sec, steps/sec and the speedup, optionally gating
-  on a checked-in baseline ratio (see :mod:`repro.bench.simbench`);
+  itself: replay synthetic traces through the event-calendar core in
+  pairs with an in-process calibration loop, emit ``BENCH_sim.json``
+  with simulated-requests/sec, steps/sec and simulated requests per
+  million calibration operations, optionally gating the latter on a
+  checked-in baseline (see :mod:`repro.bench.simbench`);
 * ``sweepbench [--jobs N] [--check baseline.json]`` — benchmark the
   parallel experiment executor: the fixed 32-point grid serial vs
   fanned over ``--jobs`` worker processes, emitting
@@ -703,44 +704,41 @@ def cmd_sim(args: argparse.Namespace) -> int:
     from repro.bench import simbench
 
     requests = args.requests
-    reference = args.reference_requests
-    if args.quick:
-        requests = (simbench.QUICK_REQUESTS if requests is None
-                    else requests)
-        reference = (simbench.QUICK_REFERENCE_REQUESTS
-                     if reference is None else reference)
-    requests = simbench.DEFAULT_REQUESTS if requests is None else requests
-    reference = (simbench.DEFAULT_REFERENCE_REQUESTS
-                 if reference is None else reference)
+    if requests is None:
+        requests = (simbench.QUICK_REQUESTS if args.quick
+                    else simbench.DEFAULT_REQUESTS)
     engine = ENGINE_ALIASES.get(args.engine.strip(), args.engine.strip())
-    payload = simbench.run_benchmark(
-        requests=requests, reference_requests=reference,
-        model=args.model, engine=engine, gpu=args.gpu,
-        num_layers=args.layers, seed=args.seed)
+    try:
+        payload = simbench.run_benchmark(
+            requests=requests, model=args.model, engine=engine,
+            gpu=args.gpu, num_layers=args.layers, seed=args.seed)
+        failure = (simbench.check_regression(payload, args.check,
+                                             tolerance=args.tolerance)
+                   if args.check else None)
+    except ConfigError as exc:
+        print(f"repro bench sim: {exc}", file=sys.stderr)
+        return 2
     event = payload["event_core"]
-    ref = payload["reference_loop"]
-    speedup = payload["speedup"]
+    calibration = payload["calibration"]
     print(render_table(
         ["core", "requests", "steps", "wall s", "req/s", "steps/s"],
         [["event-calendar", event["requests"], event["steps"],
           f"{event['wall_s']:.2f}", f"{event['requests_per_s']:.0f}",
-          f"{event['steps_per_s']:.0f}"],
-         ["reference-loop", ref["requests"], ref["steps"],
-          f"{ref['wall_s']:.2f}", f"{ref['requests_per_s']:.0f}",
-          f"{ref['steps_per_s']:.0f}"]],
-        title=f"simulator throughput "
-              f"(speedup {speedup['requests_per_s']:.1f}x)"),
+          f"{event['steps_per_s']:.0f}"]],
+        title=(f"simulator throughput "
+               f"({payload['normalised']['requests_per_mop']:.0f} "
+               f"req per M calibration ops, median of "
+               f"{simbench.PAIRS} pairs; calibration "
+               f"{calibration['ops_per_s'] / 1e6:.2f} Mop/s)")),
         file=sys.stderr)
     text = render_json(payload)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     print(f"wrote {args.output}", file=sys.stderr)
+    if failure:
+        print(f"repro bench sim: {failure}", file=sys.stderr)
+        return 1
     if args.check:
-        failure = simbench.check_regression(payload, args.check,
-                                            tolerance=args.tolerance)
-        if failure:
-            print(f"repro bench sim: {failure}", file=sys.stderr)
-            return 1
         print(f"repro bench sim: within {args.tolerance:.0%} of "
               f"baseline {args.check}", file=sys.stderr)
     return 0
@@ -757,9 +755,16 @@ def cmd_sweepbench(args: argparse.Namespace) -> int:
     if requests is None:
         requests = (sweepbench.QUICK_POINT_REQUESTS if args.quick
                     else sweepbench.DEFAULT_POINT_REQUESTS)
-    payload = sweepbench.run_benchmark(jobs=args.jobs,
-                                       requests=requests,
-                                       seed=args.seed)
+    try:
+        payload = sweepbench.run_benchmark(jobs=args.jobs,
+                                           requests=requests,
+                                           seed=args.seed)
+        failure = (sweepbench.check_regression(payload, args.check,
+                                               tolerance=args.tolerance)
+                   if args.check else None)
+    except ConfigError as exc:
+        print(f"repro bench sweepbench: {exc}", file=sys.stderr)
+        return 2
     serial, parallel = payload["serial"], payload["parallel"]
     print(render_table(
         ["executor", "points", "errors", "wall s"],
@@ -776,13 +781,11 @@ def cmd_sweepbench(args: argparse.Namespace) -> int:
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     print(f"wrote {args.output}", file=sys.stderr)
-    cpus = payload["host"]["cpu_count"]
+    if failure:
+        print(f"repro bench sweepbench: {failure}", file=sys.stderr)
+        return 1
     if args.check:
-        failure = sweepbench.check_regression(payload, args.check,
-                                              tolerance=args.tolerance)
-        if failure:
-            print(f"repro bench sweepbench: {failure}", file=sys.stderr)
-            return 1
+        cpus = payload["host"]["cpu_count"]
         if isinstance(cpus, int) and cpus < 2:
             print(f"repro bench sweepbench: host has {cpus} cpu(s); "
                   f"speedup gate skipped (determinism still checked)",
@@ -977,20 +980,20 @@ def build_parser() -> argparse.ArgumentParser:
                         "against (benchmarks/BENCH_baseline.json)")
     p.add_argument("--tolerance", type=float, default=0.30,
                    help="allowed fractional drop below the baseline "
-                        "speedup (default: 0.30)")
+                        "speedup, in [0, 1) (default: 0.30)")
     p.set_defaults(fn=cmd_sweepbench)
 
     p = sub.add_parser(
         "sim", help="benchmark the simulator itself (event-calendar "
-                    "core vs the frozen reference loop)")
+                    "core, normalised by an in-process calibration "
+                    "loop)")
     p.add_argument("--requests", type=int, default=None,
-                   help="trace size for the event core (default: 100000, "
+                   help="total requests, split evenly over the "
+                        "benchmark's calibration pairs (default: 100000, "
                         "or 3000 with --quick)")
-    p.add_argument("--reference-requests", type=int, default=None,
-                   help="trace slice for the reference loop (default: "
-                        "2000, or 600 with --quick)")
     p.add_argument("--quick", action="store_true",
-                   help="CI-sized run (smaller trace, same ratio)")
+                   help="CI-sized run (smaller traces, same normalised "
+                        "number)")
     p.add_argument("--model", default="mixtral-8x7b",
                    choices=sorted(MODEL_REGISTRY))
     p.add_argument("--engine", default="samoyeds",
@@ -1003,11 +1006,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="BENCH_sim.json",
                    help="benchmark JSON path (default: BENCH_sim.json)")
     p.add_argument("--check", default=None,
-                   help="baseline JSON to gate the speedup ratio "
+                   help="baseline JSON to gate the normalised number "
                         "against (benchmarks/BENCH_baseline.json)")
     p.add_argument("--tolerance", type=float, default=0.30,
-                   help="allowed fractional drop below the baseline "
-                        "speedup (default: 0.30)")
+                   help="allowed fractional drop below the baseline, "
+                        "in [0, 1) (default: 0.30)")
     p.add_argument("--gpu", default="a100", choices=list_gpus(),
                    help="target device (default: a100)")
     p.set_defaults(fn=cmd_sim)

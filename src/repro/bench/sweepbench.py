@@ -157,6 +157,8 @@ def check_regression(payload: dict, baseline_path: "str | Path",
     cross-machine comparisons to the machine-independent ratio.
     Returns ``None`` when within tolerance, else a failure message.
     """
+    if not 0.0 <= tolerance < 1.0:
+        raise ConfigError(f"tolerance must be in [0, 1); got {tolerance}")
     if not payload.get("payloads_identical", False):
         return ("parallel sweep payloads diverged from serial — the "
                 "executor's determinism contract is broken")

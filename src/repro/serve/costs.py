@@ -29,9 +29,10 @@ them exactly:
   winner and the first modelled step seconds per bucket).
 
 Because every memoised value is produced by the same pure function the
-old loop called, and the sums compose in the same order, reports are
-byte-identical to the reference loop (``tests/test_serve_golden.py``
-pins this).  The one path that is *not* memoised per step is the
+pre-calendar loop called, and the sums compose in the same order,
+reports and prices are byte-identical to that loop's recorded output
+(``tests/test_serve_golden.py`` and ``tests/test_serve_pricing.py``
+pin this).  The one path that is *not* memoised per step is the
 stochastic one: a Samoyeds context with ``streams > 1`` (or a
 distributed Samoyeds context) draws per-expert loads from the RNG each
 step; skipping the draw would desynchronise the stream, so those steps
@@ -75,8 +76,8 @@ class StepPricer:
 
     Owns every cost memo of one :class:`~repro.serve.engine.Pool`
     (memos persist across runs, like the old loop's MoE memo did).
-    Owns the pool's RNG so the stochastic LPT paths draw the same
-    per-step load sequence the reference loop draws.
+    Owns the pool's RNG so the stochastic LPT paths draw one load
+    sample per step, the sequence the recorded prices assume.
     """
 
     def __init__(self, ctx: "ExecutionContext", layers: int,
@@ -137,7 +138,7 @@ class StepPricer:
 
     def _price(self, plan: "StepPlan",
                context: int) -> "tuple[float, float, str | None]":
-        """One full pricing pass, composed in the reference loop's
+        """One full pricing pass, composed in the pre-calendar loop's
         exact summation order (bit-identical floats)."""
         attn = 0.0
         for ar in plan.prefill:
@@ -239,7 +240,7 @@ class StepPricer:
         return cached
 
     # ------------------------------------------------------------------
-    # MoE-layer paths (mirror the reference loop's three cases)
+    # MoE-layer paths (the pre-calendar loop's three cases)
     # ------------------------------------------------------------------
     def moe_seconds(self, tokens: int) -> float:
         """MoE-layer seconds for ``tokens`` new tokens in one step."""
@@ -278,10 +279,9 @@ class StepPricer:
     def _draw_segments(self, tokens: int, tp: int = 1) -> list[float]:
         """Per-expert segment times for one step's routed load, drawn
         from the routing-skew profile.  Consumes one multinomial from
-        the shared RNG per call — exactly like the reference loop, so
-        seeded runs replay the same load sequence.  The per-``n_e``
-        triple memo persists across steps (the reference rebuilt it
-        per call), which is exact: the kernel model is deterministic.
+        the shared RNG per call, so seeded runs replay the recorded
+        load sequence.  The per-``n_e`` triple memo persists across
+        steps, which is exact: the kernel model is deterministic.
         """
         ctx = self.ctx
         routed = tokens * ctx.config.top_k

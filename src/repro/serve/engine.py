@@ -61,9 +61,8 @@ memory runs through one ledger per device
 (:class:`~repro.moe.memory_model.DeviceLedgers`) with admission gated
 on the bottleneck device.
 
-The pre-calendar nested-``while`` implementation survives verbatim in
-:mod:`repro.serve._legacy_loop` as the golden baseline; the calendar
-core is pinned byte-identical to it by ``tests/test_serve_golden.py``.
+``tests/test_serve_golden.py`` pins the calendar core byte-identical
+to the reports of the pre-calendar nested-``while`` loop it replaced.
 """
 
 from __future__ import annotations
@@ -173,7 +172,8 @@ class Pool:
         self.role = role
         self.serves_prefill = role != "decode"
         self.serves_decode = role != "prefill"
-        self.layers = num_layers or ctx.config.num_layers
+        self.layers = (ctx.config.num_layers if num_layers is None
+                       else num_layers)
         if self.layers <= 0:
             raise ConfigError("num_layers must be positive")
         if page_size is not None and page_size <= 0:

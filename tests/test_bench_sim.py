@@ -45,40 +45,48 @@ class TestSyntheticTrace:
 
 class TestRunBenchmark:
     def test_payload_shape_and_consistency(self):
-        payload = simbench.run_benchmark(requests=30,
-                                         reference_requests=10)
+        payload = simbench.run_benchmark(requests=30)
         assert payload["version"] == simbench.BENCH_VERSION
         assert payload["workload"]["requests"] == 30
-        assert payload["workload"]["reference_requests"] == 10
-        for side in ("event_core", "reference_loop"):
-            stats = payload[side]
-            assert stats["completed"] == stats["requests"]
-            assert stats["wall_s"] > 0
-            assert stats["requests_per_s"] > 0
-            assert stats["steps"] > 0
-        assert payload["speedup"]["requests_per_s"] > 0
+        assert payload["workload"]["pairs"] == simbench.PAIRS
+        stats = payload["event_core"]
+        assert stats["requests"] == stats["completed"] == 30
+        assert stats["wall_s"] > 0
+        assert stats["requests_per_s"] > 0
+        assert stats["steps"] > 0
+        calibration = payload["calibration"]
+        assert calibration["ops_per_slice"] == simbench.CALIBRATION_OPS
+        assert calibration["ops_per_s"] > 0
+        normalised = payload["normalised"]
+        assert len(normalised["pairs"]) == simbench.PAIRS
+        assert min(normalised["pairs"]) \
+            <= normalised["requests_per_mop"] <= max(normalised["pairs"])
         json.dumps(payload)           # must be JSON-serialisable
 
-    def test_reference_slice_clamped_to_trace(self):
-        payload = simbench.run_benchmark(requests=8,
-                                         reference_requests=50)
-        assert payload["workload"]["reference_requests"] == 8
+    def test_requests_split_evenly_over_pairs(self):
+        payload = simbench.run_benchmark(requests=25)
+        assert payload["workload"]["requests"] == 25
+        assert payload["event_core"]["requests"] == 2 * simbench.PAIRS
+
+    def test_fewer_requests_than_pairs_rejected(self):
+        with pytest.raises(ConfigError, match="at least"):
+            simbench.run_benchmark(requests=simbench.PAIRS - 1)
 
 
 class TestCheckRegression:
-    def _payload(self, speedup):
-        return {"speedup": {"requests_per_s": speedup}}
+    def _payload(self, requests_per_mop):
+        return {"normalised": {"requests_per_mop": requests_per_mop}}
 
     def test_passes_within_tolerance(self, tmp_path):
         baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps({"speedup_requests_per_s": 10.0}))
-        assert simbench.check_regression(self._payload(8.0),
+        baseline.write_text(json.dumps({"sim_requests_per_mop": 1000.0}))
+        assert simbench.check_regression(self._payload(800.0),
                                          baseline) is None
 
     def test_fails_below_floor(self, tmp_path):
         baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps({"speedup_requests_per_s": 10.0}))
-        failure = simbench.check_regression(self._payload(6.0), baseline)
+        baseline.write_text(json.dumps({"sim_requests_per_mop": 1000.0}))
+        failure = simbench.check_regression(self._payload(600.0), baseline)
         assert failure is not None
         assert "regression" in failure
 
@@ -89,13 +97,24 @@ class TestCheckRegression:
 
     def test_malformed_baseline_raises(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"speedup_requests_per_s": -1}))
+        bad.write_text(json.dumps({"sim_requests_per_mop": -1}))
         with pytest.raises(ConfigError):
             simbench.check_regression(self._payload(1.0), bad)
 
+    @pytest.mark.parametrize("tolerance", [1.5, 1.0, -1.0])
+    def test_tolerance_outside_unit_interval_raises(self, tmp_path,
+                                                    tolerance):
+        """A tolerance of 1 or more passes anything; a negative one
+        raises the floor above the baseline."""
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({"sim_requests_per_mop": 1000.0}))
+        with pytest.raises(ConfigError, match="tolerance"):
+            simbench.check_regression(self._payload(1.0), baseline,
+                                      tolerance=tolerance)
+
     def test_checked_in_baseline_is_valid(self):
         """The repo's own baseline file must satisfy the gate's schema
-        (a huge measured speedup trivially passes against it)."""
+        (a huge measured number trivially passes against it)."""
         assert simbench.check_regression(
             self._payload(1e9),
             "benchmarks/BENCH_baseline.json") is None
@@ -104,21 +123,43 @@ class TestCheckRegression:
 class TestCli:
     def test_sim_writes_report(self, tmp_path, capsys):
         out = tmp_path / "BENCH_sim.json"
-        rc = main(["sim", "--requests", "20",
-                   "--reference-requests", "8",
-                   "--output", str(out)])
+        rc = main(["sim", "--requests", "20", "--output", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["workload"]["requests"] == 20
-        assert "speedup" in payload
+        assert "requests_per_mop" in payload["normalised"]
 
     def test_sim_check_failure_is_nonzero(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps(
-            {"speedup_requests_per_s": 1e9}))
+        baseline.write_text(json.dumps({"sim_requests_per_mop": 1e12}))
         rc = main(["sim", "--requests", "20",
-                   "--reference-requests", "8",
                    "--output", str(tmp_path / "b.json"),
                    "--check", str(baseline)])
         assert rc == 1
         assert "regression" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("requests", ["0", str(simbench.PAIRS - 1)])
+    def test_sim_too_few_requests_is_usage_error(self, tmp_path, capsys,
+                                                 requests):
+        rc = main(["sim", "--requests", requests,
+                   "--output", str(tmp_path / "b.json")])
+        assert rc == 2
+        assert "repro bench sim: requests must be at least" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["1.5", "-1"])
+    def test_sim_bad_tolerance_is_usage_error(self, tmp_path, capsys,
+                                              tolerance):
+        rc = main(["sim", "--requests", "20",
+                   "--output", str(tmp_path / "b.json"),
+                   "--check", "benchmarks/BENCH_baseline.json",
+                   "--tolerance", tolerance])
+        assert rc == 2
+        assert "repro bench sim: tolerance must be in [0, 1)" \
+            in capsys.readouterr().err
+
+    def test_sim_zero_layers_is_usage_error(self, tmp_path, capsys):
+        rc = main(["sim", "--requests", "20", "--layers", "0",
+                   "--output", str(tmp_path / "b.json")])
+        assert rc == 2
+        assert "num_layers must be positive" in capsys.readouterr().err

@@ -10,7 +10,7 @@ under a fixed RNG seed.
 import pytest
 
 from repro.context import ExecutionContext
-from repro.errors import CapacityError
+from repro.errors import CapacityError, ConfigError
 from repro.hw import get_gpu
 from repro.moe import MODEL_REGISTRY
 from repro.moe.memory_model import KVCacheTracker, footprint
@@ -202,7 +202,6 @@ class TestPagedServing:
         assert run().to_dict() == run().to_dict()
 
     def test_invalid_page_size_rejected(self, ctx):
-        from repro.errors import ConfigError
         with pytest.raises(ConfigError):
             ServingEngine(ctx=ctx, page_size=-1)
 
@@ -275,6 +274,15 @@ class TestLifecycle:
         one = simulate(ctx, trace=trace, num_layers=1, seed=SEED)
         full = simulate(ctx, trace=trace, seed=SEED)
         assert one.ttft_s["p50"] < full.ttft_s["p50"]
+
+    def test_zero_layers_rejected_not_full_depth(self, ctx):
+        """Only ``None`` means the model's depth; 0 layers is invalid."""
+        trace = poisson_trace(4, 3.0, prompt_tokens=64, output_tokens=4,
+                              seed=SEED)
+        with pytest.raises(ConfigError, match="num_layers must be positive"):
+            ServingEngine(ctx=ctx, num_layers=0)
+        with pytest.raises(ConfigError, match="num_layers must be positive"):
+            simulate(ctx, trace=trace, num_layers=0)
 
     def test_engine_object_reusable(self, ctx):
         server = ServingEngine(ctx=ctx, seed=SEED)

@@ -1,21 +1,14 @@
-"""Golden pinning: the event-calendar core vs the frozen reference loop
-and vs committed report files.
+"""Golden pinning: serving reports vs committed report files.
 
-The PR 6 refactor replaced the nested ``while arrivals or waiting or
-running`` loops with an event calendar and memoised/vectorized step
-pricing.  The contract is *byte identity*: for every serving
-configuration the new :class:`~repro.serve.engine.ServingEngine` must
-produce a report whose JSON serialisation equals the pre-refactor
-:class:`~repro.serve._legacy_loop.ReferenceEngine`'s, byte for byte —
-same floats, same counts, same ordering.  Any intentional behaviour
-change must update the reference snapshot, not relax this test.
-
-The reference loop shares the memory ledgers with the event core, so
-it cannot see a ledger drift, and it has no disaggregated counterpart
-at all.  The same fixtures (plus a tenant-scheduled chunked/paged
-``auto`` run and four multi-pool runs) are therefore also pinned
-against reports committed under ``tests/golden/``.  After an
-intentional behaviour change, regenerate them with
+The contract is *byte identity*: for every serving configuration the
+report's JSON serialisation must equal the file committed under
+``tests/golden/``, byte for byte — same floats, same counts, same
+ordering.  The colocated fixtures' files hold the reports of the
+pre-calendar serving loop byte for byte, so they pin the event-calendar
+:class:`~repro.serve.engine.ServingEngine` to it; the deployment
+fixtures (a tenant-scheduled chunked/paged ``auto`` run and four
+multi-pool runs) pin the paths that loop never had.  Any intentional
+behaviour change must regenerate the files, not relax this test:
 ``PYTHONPATH=src python tests/test_serve_golden.py``.
 """
 
@@ -28,7 +21,6 @@ import pytest
 
 from repro.api import Deployment
 from repro.context import ExecutionContext
-from repro.serve._legacy_loop import ReferenceEngine
 from repro.serve.batcher import ChunkedPrefillBatcher, StaticBatcher
 from repro.serve.engine import ServingEngine
 from repro.workloads.traces import poisson_trace
@@ -37,18 +29,14 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 EXAMPLE_CONFIGS = Path(__file__).resolve().parents[1] / "examples" / "configs"
 
 
-def _report(cls, case):
+def _report(case):
     kw = dict(case["eng"])
     factory = kw.pop("batcher_factory", None)
     if factory is not None:
         kw["batcher"] = factory()
-    engine = cls(ctx=ExecutionContext.create(*case["ctx"],
-                                             **case["ctx_kw"]), **kw)
+    engine = ServingEngine(ctx=ExecutionContext.create(
+        *case["ctx"], **case["ctx_kw"]), **kw)
     return engine.run(poisson_trace(**case["trace"]))
-
-
-def _run(cls, case) -> str:
-    return json.dumps(_report(cls, case).to_dict(), sort_keys=True)
 
 
 # One fixture per serving surface: the plain continuous path (which
@@ -102,13 +90,6 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_event_core_byte_identical_to_reference(name):
-    new = _run(ServingEngine, CASES[name])
-    old = _run(ReferenceEngine, CASES[name])
-    assert new == old, f"report JSON diverged on fixture {name!r}"
-
-
 #: A light-load, long-decode trace: long uneventful-decode runs.
 FAST_PATH = dict(
     trace=dict(num_requests=12, rate_qps=5.0, seed=1, prompt_tokens=128,
@@ -117,21 +98,10 @@ FAST_PATH = dict(
     eng=dict(num_layers=1, seed=7))
 
 
-def test_fast_path_decode_run_is_byte_identical():
-    """A light-load, long-decode trace drives long uneventful-decode
-    runs through the fast path; the report must still match the
-    reference byte for byte."""
-    assert (_run(ServingEngine, FAST_PATH)
-            == _run(ReferenceEngine, FAST_PATH))
-
-
-# ----------------------------------------------------------------------
-# Frozen reports
-# ----------------------------------------------------------------------
-#: Deployments the reference loop cannot replay: payloads, or a shipped
-#: config file.  The first two run past their KV knee on rtx4070s
-#: devices, so their frozen reports include preemptions.  The
-#: multi-pool cases pin the disaggregated paths one by one:
+#: Deployments given as payloads, or a shipped config file: paths the
+#: pre-calendar loop never had.  The first two run past their KV knee
+#: on rtx4070s devices, so their frozen reports include preemptions.
+#: The multi-pool cases pin the disaggregated paths one by one:
 #: heterogeneous pools under ``slo_slack`` with a rate-limited tenant
 #: (the shipped example); a horizon that cuts with KV transfers on the
 #: wire, chunked prefill, migrations blocked on decode admission and a
@@ -226,7 +196,7 @@ def _frozen_json(name: str) -> str:
                       else Deployment.from_dict(case))
         report = deployment.run()
     else:
-        report = _report(ServingEngine, FAST_PATH if name == "fast-path"
+        report = _report(FAST_PATH if name == "fast-path"
                          else CASES[name])
     return json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n"
 

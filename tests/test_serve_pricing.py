@@ -1,41 +1,43 @@
 """Property tests for the vectorized/memoised step pricing (PR 6).
 
-Two layers of the refactor carry numerical risk and are pinned here:
+Two layers of the refactor carry numerical risk and are pinned here
+against ``tests/golden/step-pricing.json``, a table recorded from the
+frozen scalar reference pricer of the pre-calendar serving loop:
 
-* :func:`repro.moe.scheduler.segment_seconds_from_loads` now prices
-  expert segments through numpy over padded tile buckets — it must
-  match the frozen scalar implementation
-  (:func:`repro.serve._legacy_loop._reference_segment_seconds`)
-  elementwise across randomized loads;
-* :meth:`repro.serve.engine.ServingEngine.step_seconds` now routes
-  through the memoising :class:`~repro.serve.costs.StepPricer` — it
-  must match the frozen scalar
-  :meth:`~repro.serve._legacy_loop.ReferenceEngine.step_seconds`
-  across randomized plans for every registered engine, including the
-  cost-driven ``auto`` selector.
+* :func:`repro.moe.scheduler.segment_seconds_from_loads` prices expert
+  segments through numpy over padded tile buckets — it must match the
+  scalar per-expert prices elementwise across randomized loads;
+* :meth:`repro.serve.engine.ServingEngine.step_seconds` routes through
+  the memoising :class:`~repro.serve.costs.StepPricer` — it must match
+  the scalar step prices across randomized plans for every registered
+  engine, including the cost-driven ``auto`` selector, and across the
+  stochastic LPT stream path's plan sequence.
 
 Tolerance is 1e-9 relative even though the implementations are
 designed to agree exactly — the property is "same model", not "same
-rounding story".
+rounding story".  After an intentional cost-model change, regenerate
+the table with ``PYTHONPATH=src python tests/test_serve_pricing.py``.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.context import ExecutionContext
 from repro.moe.scheduler import segment_seconds_from_loads
-from repro.serve._legacy_loop import (
-    ReferenceEngine,
-    _reference_segment_seconds,
-)
 from repro.serve.batcher import ActiveRequest, PrefillChunk, StepPlan
 from repro.serve.engine import ServingEngine
 from repro.workloads.traces import Request
 from repro.utils.rng import new_rng
 
+PRICING_TABLE = Path(__file__).resolve().parent / "golden" / "step-pricing.json"
+
 ENGINES = ["samoyeds", "transformers", "megablocks", "vllm-ds", "pit",
            "auto"]
+SEGMENT_CASES = [(64, 1), (64, 2), (128, 1), (128, 2)]
 
 
 def _random_plan(rng) -> StepPlan:
@@ -67,22 +69,72 @@ def _random_plan(rng) -> StepPlan:
     return StepPlan(prefill=prefill, decode=decode, chunks=tuple(chunks))
 
 
-@pytest.mark.parametrize("tile_n", [64, 128])
-@pytest.mark.parametrize("tp", [1, 2])
-def test_bucketed_segments_match_scalar_reference(tile_n, tp):
+def _price_plans(engine: ServingEngine, plans) -> list[float | None]:
+    """Price ``plans`` in order on one engine; an empty plan keeps its
+    position as ``None``."""
+    return [None if plan.empty else float(engine.step_seconds(plan))
+            for plan in plans]
+
+
+def _segment_prices(tile_n: int, tp: int) -> list[list[float]]:
+    """Six rounds of per-expert segment prices over random loads, each
+    with at least one idle expert."""
     ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds", "a100")
     kernel = ctx.segment_kernel()
     rng = new_rng(99)
-    for round_ in range(6):
+    rounds = []
+    for _ in range(6):
         loads = rng.integers(0, 4096, size=ctx.config.num_experts)
         loads[rng.integers(0, len(loads))] = 0    # always an idle expert
-        fast = segment_seconds_from_loads(ctx.config, loads, ctx.spec,
-                                          kernel, tile_n, tp=tp)
-        slow = _reference_segment_seconds(ctx.config, loads, ctx.spec,
-                                          kernel, tile_n, tp=tp)
-        assert len(fast) == len(slow)
-        for got, want in zip(fast, slow):
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-18)
+        rounds.append([float(s) for s in segment_seconds_from_loads(
+            ctx.config, loads, ctx.spec, kernel, tile_n, tp=tp)])
+    return rounds
+
+
+def _step_prices(engine: str) -> list[float | None]:
+    """Eight random plans priced in sequence by one ``engine`` server."""
+    server = ServingEngine(
+        ctx=ExecutionContext.create("mixtral-8x7b", engine, "a100"),
+        num_layers=1, seed=3)
+    rng = new_rng(7)
+    return _price_plans(server, [_random_plan(rng) for _ in range(8)])
+
+
+def _lpt_stream_prices() -> list[float | None]:
+    """Five random plans priced in sequence on the stochastic 4-stream
+    LPT path, which consumes one RNG draw per step."""
+    server = ServingEngine(
+        ctx=ExecutionContext.create("mixtral-8x7b", "samoyeds", "a100",
+                                    streams=4),
+        num_layers=1, seed=13, routing_skew=1.1)
+    rng = new_rng(17)
+    return _price_plans(server, [_random_plan(rng) for _ in range(5)])
+
+
+def _pricing_table() -> dict[str, object]:
+    return {
+        "segments": {f"tile_n={tile_n},tp={tp}": _segment_prices(tile_n, tp)
+                     for tile_n, tp in SEGMENT_CASES},
+        "step_seconds": {engine: _step_prices(engine)
+                         for engine in ENGINES},
+        "lpt_streams": _lpt_stream_prices(),
+    }
+
+
+@pytest.fixture(scope="module")
+def table() -> dict:
+    return json.loads(PRICING_TABLE.read_text())
+
+
+@pytest.mark.parametrize("tile_n", [64, 128])
+@pytest.mark.parametrize("tp", [1, 2])
+def test_bucketed_segments_match_scalar_reference(table, tile_n, tp):
+    want = table["segments"][f"tile_n={tile_n},tp={tp}"]
+    got = _segment_prices(tile_n, tp)
+    assert len(got) == len(want)
+    for got_round, want_round in zip(got, want):
+        assert got_round == pytest.approx(want_round, rel=1e-9,
+                                          abs=1e-18)
 
 
 def test_bucketed_segments_memo_reuse_is_exact():
@@ -102,21 +154,12 @@ def test_bucketed_segments_memo_reuse_is_exact():
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_step_seconds_matches_reference_across_random_plans(engine):
-    rng = new_rng(7)
-    new = ServingEngine(
-        ctx=ExecutionContext.create("mixtral-8x7b", engine, "a100"),
-        num_layers=1, seed=3)
-    old = ReferenceEngine(
-        ctx=ExecutionContext.create("mixtral-8x7b", engine, "a100"),
-        num_layers=1, seed=3)
-    for round_ in range(8):
-        plan = _random_plan(rng)
-        if plan.empty:
-            continue
-        got = new.step_seconds(plan)
-        want = old.step_seconds(plan)
-        assert got == pytest.approx(want, rel=1e-9), (
+def test_step_seconds_matches_reference_across_random_plans(table, engine):
+    want = table["step_seconds"][engine]
+    got = _step_prices(engine)
+    assert len(got) == len(want)
+    for round_, (price, expected) in enumerate(zip(got, want)):
+        assert price == pytest.approx(expected, rel=1e-9), (
             f"{engine}: step {round_} diverged")
 
 
@@ -130,19 +173,14 @@ def test_step_seconds_memo_hit_is_identical():
     assert eng.step_seconds(plan) == eng.step_seconds(plan)
 
 
-def test_lpt_streams_pricing_matches_reference_sequence():
-    """The stochastic LPT path consumes one RNG draw per step; with
-    equal seeds the event core and the reference must price the same
-    plan *sequence* identically (memoisation must not skip draws)."""
-    args = ("mixtral-8x7b", "samoyeds", "a100")
-    new = ServingEngine(ctx=ExecutionContext.create(*args, streams=4),
-                        num_layers=1, seed=13, routing_skew=1.1)
-    old = ReferenceEngine(ctx=ExecutionContext.create(*args, streams=4),
-                          num_layers=1, seed=13, routing_skew=1.1)
-    rng = new_rng(17)
-    plans = [_random_plan(rng) for _ in range(5)]
-    for plan in plans:
-        if plan.empty:
-            continue
-        assert new.step_seconds(plan) == pytest.approx(
-            old.step_seconds(plan), rel=1e-9)
+def test_lpt_streams_pricing_matches_reference_sequence(table):
+    """The stochastic LPT path consumes one RNG draw per step; with the
+    recorded seeds the event core must price the same plan *sequence*
+    identically (memoisation must not skip draws)."""
+    assert _lpt_stream_prices() == pytest.approx(table["lpt_streams"],
+                                                 rel=1e-9)
+
+
+if __name__ == "__main__":
+    PRICING_TABLE.write_text(
+        json.dumps(_pricing_table(), sort_keys=True, indent=1) + "\n")

@@ -10,6 +10,7 @@ rule both benchmark gates share: the ``host`` block is informational
 import pytest
 
 from repro.bench import simbench, sweepbench
+from repro.bench.cli import main
 from repro.errors import ConfigError
 from repro.utils.host import host_metadata
 
@@ -104,6 +105,14 @@ class TestCheckRegression:
             path)
         assert failure and "determinism" in failure
 
+    @pytest.mark.parametrize("tolerance", [1.5, 1.0, -1.0])
+    def test_tolerance_outside_unit_interval_raises(self, tmp_path,
+                                                    tolerance):
+        path = baseline(tmp_path, sweep_speedup=2.0)
+        with pytest.raises(ConfigError, match="tolerance"):
+            sweepbench.check_regression(sweep_payload(), path,
+                                        tolerance=tolerance)
+
     def test_bad_baseline_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="sweep_speedup"):
             sweepbench.check_regression(
@@ -113,16 +122,33 @@ class TestCheckRegression:
                 sweep_payload(), tmp_path / "missing.json")
 
 
+class TestCli:
+    def test_zero_requests_is_usage_error(self, tmp_path, capsys):
+        rc = main(["sweepbench", "--requests", "0", "--jobs", "1",
+                   "--output", str(tmp_path / "sweep.json")])
+        assert rc == 2
+        assert "repro bench sweepbench: requests per point must be " \
+            "positive" in capsys.readouterr().err
+
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys):
+        rc = main(["sweepbench", "--requests", "2", "--jobs", "1",
+                   "--output", str(tmp_path / "sweep.json"),
+                   "--check", str(baseline(tmp_path, sweep_speedup=2.0)),
+                   "--tolerance", "1.5"])
+        assert rc == 2
+        assert "repro bench sweepbench: tolerance must be in [0, 1)" \
+            in capsys.readouterr().err
+
+
 class TestSimbenchHostBlock:
     def test_bench_sim_payload_records_host(self):
-        payload = simbench.run_benchmark(requests=40,
-                                         reference_requests=10)
+        payload = simbench.run_benchmark(requests=40)
         assert set(payload["host"]) == set(host_metadata())
 
     def test_check_ignores_host_block(self, tmp_path):
-        """simbench's gate reads only the speedup ratio."""
+        """simbench's gate reads only the calibration-normalised
+        number."""
         payload = {"host": {"cpu_count": 1, "platform": "???"},
-                   "speedup": {"requests_per_s": 12.0,
-                               "steps_per_s": 1.0}}
-        path = baseline(tmp_path, speedup_requests_per_s=10.0)
+                   "normalised": {"requests_per_mop": 1200.0}}
+        path = baseline(tmp_path, sim_requests_per_mop=1000.0)
         assert simbench.check_regression(payload, path) is None
