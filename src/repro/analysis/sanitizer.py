@@ -383,7 +383,8 @@ class SanitizedDeviceLedgers:
 
 def wrap_ledger(ledger: "MemoryLedger | DeviceLedgers"
                 ) -> "SanitizedLedger | SanitizedDeviceLedgers":
-    """Wrap whatever :meth:`ServingEngine._make_ledger` built."""
+    """Wrap whatever :meth:`~repro.serve.engine.Pool.make_ledger`
+    built."""
     if isinstance(ledger, DeviceLedgers):
         return SanitizedDeviceLedgers(ledger)
     return SanitizedLedger(ledger)

@@ -29,11 +29,15 @@ Subcommands:
   fanned over ``--jobs`` worker processes, emitting
   ``BENCH_sweep.json`` (see :mod:`repro.bench.sweepbench`).
 
-``run`` and ``scale`` accept ``--jobs N`` to execute independent sweep
-points on a :class:`~repro.exec.PointRunner` process pool — payloads
-are byte-identical to the serial loop, results always land in grid
-order, and an infeasible or crashed point fails alone (see
-:mod:`repro.exec`).
+``run``, ``scale`` and ``disagg`` execute their points through one
+:class:`~repro.exec.PointRunner`: in-process by default, over ``--jobs
+N`` worker processes on request.  Payloads are byte-identical either
+way, results always land in grid order, and an infeasible or crashed
+point fails alone (see :mod:`repro.exec`).
+
+Exit codes: 2 for a usage error (a bad flag or config), 1 when a sweep
+point crashed (after the payload is written), 0 otherwise — an
+infeasible point is an ``error`` entry in the payload, not a failure.
 
 ``serve`` and ``scale`` are thin shims over
 :class:`repro.api.DeploymentSpec`: every flag maps to a spec field (the
@@ -77,11 +81,27 @@ def _add_jobs_args(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for sweep points "
                              "(1 = serial; payloads are byte-identical "
                              "either way)")
-    parser.add_argument("--warm", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="warm the shared dispatch table once "
-                             "before fan-out (engine=auto sweeps; "
-                             "--no-warm starts workers cold)")
+
+
+def _bad_problem(args: argparse.Namespace) -> bool:
+    """Reject a non-positive ``--m``/``--k``/``--n`` as a usage error."""
+    for dim in ("m", "k", "n"):
+        if getattr(args, dim) < 1:
+            print(f"repro bench {args.command}: --{dim} must be positive",
+                  file=sys.stderr)
+            return True
+    return False
+
+
+def _emit(args: argparse.Namespace, payload: dict, results=()) -> int:
+    """Write the JSON payload; exit 1 if any sweep point crashed."""
+    text = render_json(payload)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return 1 if any(result.crashed for result in results) else 0
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -94,6 +114,8 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def cmd_kernels(args: argparse.Namespace) -> int:
+    if _bad_problem(args):
+        return 2
     spec = get_gpu(args.gpu)
     rows = []
     sam = KERNELS["samoyeds"].cost(args.m, args.k, args.n, spec)
@@ -109,6 +131,8 @@ def cmd_kernels(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    if _bad_problem(args):
+        return 2
     spec = get_gpu(args.gpu)
     result = tune(KERNELS["samoyeds"], args.m, args.k, args.n, spec,
                   subrow_v=32)
@@ -123,6 +147,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_roofline(args: argparse.Namespace) -> int:
+    if _bad_problem(args):
+        return 2
     spec = get_gpu(args.gpu)
     points = []
     # Pattern levels skipped beyond the hardware 2:4 raise a kernel's
@@ -139,6 +165,10 @@ def cmd_roofline(args: argparse.Namespace) -> int:
 
 
 def cmd_maxbatch(args: argparse.Namespace) -> int:
+    if args.seq < 1:
+        print("repro bench maxbatch: --seq must be positive",
+              file=sys.stderr)
+        return 2
     spec = get_gpu(args.gpu)
     engines = ["transformers", "megablocks", "vllm-ds", "samoyeds"]
     rows = []
@@ -290,47 +320,34 @@ def cmd_serve(args: argparse.Namespace) -> int:
            if not plan.is_trivial else {}),
         "engines": reports,
     }
-    text = render_json(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+    return _emit(args, payload)
+
+
+def _status(result) -> str:
+    """A sweep point's outcome as a human-readable phrase."""
+    if result.ok:
+        return "ok"
+    return (result.error if result.crashed
+            else f"infeasible ({result.error})")
 
 
 def _progress_line(result, done: int, total: int) -> None:
-    """One stderr line per completed parallel point."""
-    if result.ok:
-        status = "ok"
-    elif result.crashed:
-        status = result.error
-    else:
-        status = f"infeasible ({result.error})"
-    print(f"# [{done}/{total}] {result.label or 'base'}: {status}",
-          file=sys.stderr)
+    """One stderr line per completed sweep point."""
+    print(f"# [{done}/{total}] {result.label or 'base'}: "
+          f"{_status(result)}", file=sys.stderr)
 
 
-def _run_parallel(specs, labels, jobs: int, warm: bool):
-    """Fan deployment specs over the process pool (grid-ordered
-    results), with the warm shared-dispatch-table pre-pass."""
-    import os
-    import tempfile
+def _run_points(args: argparse.Namespace, specs, labels):
+    """Run the sweep points on ``--jobs`` workers (grid-ordered
+    results; a crashed point is contained to its own result)."""
+    from repro.exec import PointRunner
 
-    from repro.exec import PointRunner, warm_selection_table
-
-    with tempfile.TemporaryDirectory(prefix="repro-exec-") as tmp:
-        table_path = os.path.join(tmp, "dispatch-table.json")
-        if warm:
-            warm_selection_table(specs, table_path)
-        runner = PointRunner(jobs=jobs, table_path=table_path,
-                             progress=_progress_line)
-        return runner.run(specs, labels)
+    return PointRunner(jobs=args.jobs,
+                       progress=_progress_line).run(specs, labels)
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    from repro.api import Deployment, DeploymentSpec
-    from repro.errors import ReproError
+    from repro.api import DeploymentSpec
     from repro.serve.metrics import ServeReport
 
     if args.mode not in ("ep", "tp"):
@@ -366,16 +383,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    def point_spec(count: int,
-                   scale_load: bool) -> tuple[DeploymentSpec, int]:
-        factor = count if scale_load else 1
-        spec = base.with_overrides({
-            "hardware.parallel": f"{args.mode}={count}",
-            "workload.requests": args.requests * factor,
-            "workload.qps": args.qps * factor,
-        })
-        return spec, factor
-
     def point_payload(spec: DeploymentSpec, count: int, factor: int,
                       report: ServeReport) -> dict[str, object]:
         cluster = report.cluster or {}
@@ -392,53 +399,37 @@ def cmd_scale(args: argparse.Namespace) -> int:
             "experts_per_device": cluster.get("experts_per_device"),
         }
 
+    # Run every (count, series) point, then reassemble the strong and
+    # weak series in device order.
+    specs, labels, meta = [], [], []
+    for pos, count in enumerate(devices):
+        for series, scale_load in (("strong", False), ("weak", True)):
+            if scale_load and count == 1:
+                continue              # same point as strong at 1 device
+            factor = count if scale_load else 1
+            spec = base.with_overrides({
+                "hardware.parallel": f"{args.mode}={count}",
+                "workload.requests": args.requests * factor,
+                "workload.qps": args.qps * factor,
+            })
+            specs.append(spec)
+            labels.append(f"{count} devices ({series})")
+            meta.append((series, pos, count, factor, spec))
+    results = _run_points(args, specs, labels)
+    table: dict[tuple[str, int], dict[str, object]] = {}
+    for (series, pos, count, factor, spec), result in zip(meta, results):
+        if result.error is not None:
+            table[(series, pos)] = {"devices": count,
+                                    "error": result.error}
+        else:
+            table[(series, pos)] = point_payload(
+                spec, count, factor, ServeReport.from_dict(result.report))
     strong: list[dict[str, object]] = []
     weak: list[dict[str, object]] = []
-    if args.jobs > 1 and len(devices) > 1:
-        # Fan every (count, series) point over the pool, then
-        # reassemble the strong/weak series in device order — byte-
-        # identical to the serial payload (the golden tests pin it).
-        specs, labels, meta = [], [], []
-        for pos, count in enumerate(devices):
-            for series, scale_load in (("strong", False),
-                                       ("weak", True)):
-                if scale_load and count == 1:
-                    continue          # same point as strong at 1 device
-                spec, factor = point_spec(count, scale_load)
-                specs.append(spec)
-                labels.append(f"{count} devices ({series})")
-                meta.append((series, pos, count, factor, spec))
-        results = _run_parallel(specs, labels, args.jobs, args.warm)
-        table: dict[tuple[str, int], dict[str, object]] = {}
-        for (series, pos, count, factor, spec), result in zip(meta,
-                                                              results):
-            if result.error is not None:
-                table[(series, pos)] = {"devices": count,
-                                        "error": result.error}
-            else:
-                table[(series, pos)] = point_payload(
-                    spec, count, factor,
-                    ServeReport.from_dict(result.report))
-        for pos, count in enumerate(devices):
-            strong.append(table[("strong", pos)])
-            weak.append(dict(strong[-1]) if count == 1
-                        else table[("weak", pos)])
-    else:
-        for count in devices:
-            for series, scale_load in ((strong, False), (weak, True)):
-                if scale_load and count == 1:
-                    series.append(dict(strong[-1]))  # same point at 1
-                    continue
-                spec, factor = point_spec(count, scale_load)
-                try:
-                    report = Deployment(spec).run()
-                except ReproError as exc:
-                    label = "weak" if scale_load else "strong"
-                    print(f"# {count} devices ({label}): infeasible "
-                          f"({exc})", file=sys.stderr)
-                    series.append({"devices": count, "error": str(exc)})
-                    continue
-                series.append(point_payload(spec, count, factor, report))
+    for pos, count in enumerate(devices):
+        strong.append(table[("strong", pos)])
+        weak.append(dict(strong[-1]) if count == 1
+                    else table[("weak", pos)])
 
     # Speedups are only meaningful relative to the smallest swept device
     # count; if that point errored, print "-" rather than rebasing.
@@ -477,17 +468,11 @@ def cmd_scale(args: argparse.Namespace) -> int:
         "strong": strong,
         "weak": weak,
     }
-    text = render_json(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+    return _emit(args, payload, results)
 
 
 def _sweep_row(label: str, report) -> list[object]:
-    """One sweep-table row (shared by the serial and parallel paths)."""
+    """One ``run`` sweep-table row."""
     return [label, report.completed,
             f"{report.qps_sustained:.2f}",
             f"{report.output_tokens_per_s:.0f}",
@@ -496,8 +481,7 @@ def _sweep_row(label: str, report) -> list[object]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.api import Deployment, load_sweep
-    from repro.errors import ReproError
+    from repro.api import load_sweep
     from repro.serve.metrics import REPORT_HEADERS, ServeReport
 
     if args.jobs < 1:
@@ -511,62 +495,39 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     title = (f"{base.model.name} on {base.hardware.gpu} "
              f"({args.config})")
+    results = _run_points(args, [p.spec for p in points],
+                          [p.describe() for p in points])
     # A no-sweep config loads as exactly one override-free point.
     if len(points) == 1 and not points[0].overrides:
         # Single run: the payload IS the report, so the JSON stays
         # interchangeable with a legacy `simulate()` result.
-        try:
-            report = Deployment(base).run()
-        except ReproError as exc:
-            print(f"repro bench run: infeasible ({exc})",
-                  file=sys.stderr)
+        [result] = results
+        if result.error is not None:
+            print(f"repro bench run: {_status(result)}", file=sys.stderr)
             return 1
-        print(render_table(REPORT_HEADERS, [report.summary_row()],
-                           title=title), file=sys.stderr)
-        payload: dict[str, object] = report.to_dict()
-    else:
-        entries: list[dict[str, object]] = []
-        rows = []
-        if args.jobs > 1 and len(points) > 1:
-            results = _run_parallel([p.spec for p in points],
-                                    [p.describe() for p in points],
-                                    args.jobs, args.warm)
-            for point, result in zip(points, results):
-                entry = {"overrides": dict(point.overrides)}
-                if result.error is not None:
-                    entry["error"] = result.error
-                else:
-                    entry["report"] = result.report
-                    rows.append(_sweep_row(
-                        point.describe(),
-                        ServeReport.from_dict(result.report)))
-                entries.append(entry)
+        print(render_table(
+            REPORT_HEADERS,
+            [ServeReport.from_dict(result.report).summary_row()],
+            title=title), file=sys.stderr)
+        return _emit(args, result.report)
+    entries: list[dict[str, object]] = []
+    rows = []
+    for point, result in zip(points, results):
+        entry = {"overrides": dict(point.overrides)}
+        if result.error is not None:
+            entry["error"] = result.error
         else:
-            for point in points:
-                entry = {"overrides": dict(point.overrides)}
-                try:
-                    report = Deployment(point.spec).run()
-                except ReproError as exc:
-                    print(f"# {point.describe()}: infeasible ({exc})",
-                          file=sys.stderr)
-                    entry["error"] = str(exc)
-                else:
-                    entry["report"] = report.to_dict()
-                    rows.append(_sweep_row(point.describe(), report))
-                entries.append(entry)
-        if rows:
-            print(render_table(
-                ["point", "done", "qps", "tok/s", "ttft p50 ms",
-                 "tpot p50 ms"], rows, title=title), file=sys.stderr)
-        payload = {"config": args.config, "base": base.to_dict(),
-                   "sweep": entries}
-    text = render_json(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+            entry["report"] = result.report
+            rows.append(_sweep_row(point.describe(),
+                                   ServeReport.from_dict(result.report)))
+        entries.append(entry)
+    if rows:
+        print(render_table(
+            ["point", "done", "qps", "tok/s", "ttft p50 ms",
+             "tpot p50 ms"], rows, title=title), file=sys.stderr)
+    payload = {"config": args.config, "base": base.to_dict(),
+               "sweep": entries}
+    return _emit(args, payload, results)
 
 
 def cmd_disagg(args: argparse.Namespace) -> int:
@@ -574,7 +535,6 @@ def cmd_disagg(args: argparse.Namespace) -> int:
     counts, with a colocated reference point."""
     from repro.api import Deployment
     from repro.api.loader import load_deployment
-    from repro.errors import ReproError
     from repro.serve.metrics import ServeReport
 
     if args.jobs < 1:
@@ -649,15 +609,15 @@ def cmd_disagg(args: argparse.Namespace) -> int:
 
     entries: list[dict[str, object]] = []
     rows = []
-
-    def record(label: str, report: "ServeReport | None",
-               error: "str | None") -> None:
+    results = _run_points(args, specs, labels)
+    for label, result in zip(labels, results):
         entry: dict[str, object] = {"split": label}
-        if error is not None:
-            entry["error"] = error
+        if result.error is not None:
+            entry["error"] = result.error
             rows.append([label, "-", "-", "-", "-", "-"])
         else:
-            entry["report"] = report.to_dict()
+            entry["report"] = result.report
+            report = ServeReport.from_dict(result.report)
             transfer = report.transfer or {}
             rows.append([label, report.completed,
                          f"{report.qps_sustained:.2f}",
@@ -665,23 +625,6 @@ def cmd_disagg(args: argparse.Namespace) -> int:
                          f"{report.tpot_s.p99 * 1e3:.2f}",
                          f"{transfer.get('seconds_total', 0.0):.4f}"])
         entries.append(entry)
-
-    if args.jobs > 1 and len(specs) > 1:
-        results = _run_parallel(specs, labels, args.jobs, args.warm)
-        for label, result in zip(labels, results):
-            if result.error is not None:
-                record(label, None, result.error)
-            else:
-                record(label, ServeReport.from_dict(result.report), None)
-    else:
-        for label, spec in zip(labels, specs):
-            try:
-                report = Deployment(spec).run()
-            except ReproError as exc:
-                print(f"# {label}: infeasible ({exc})", file=sys.stderr)
-                record(label, None, str(exc))
-                continue
-            record(label, report, None)
 
     print(render_table(
         ["split (prefill:decode)", "done", "qps", "ttft p99 ms",
@@ -691,13 +634,7 @@ def cmd_disagg(args: argparse.Namespace) -> int:
                f"link={base.serving.transfer_link})")), file=sys.stderr)
     payload = {"config": args.config, "base": base_payload,
                "points": entries}
-    text = render_json(payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+    return _emit(args, payload, results)
 
 
 def cmd_sim(args: argparse.Namespace) -> int:

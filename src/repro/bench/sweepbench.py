@@ -6,9 +6,9 @@ runs.  The protocol: a fixed 32-point grid (engine × qps × prompt ×
 output axes over the Table-2 Mixtral model, the shape of the Fig
 12/13/16 capacity sweeps), executed twice through the same
 :class:`~repro.exec.PointRunner` — once serially in-process, once
-fanned over ``--jobs`` worker processes with a warm shared dispatch
-table — and ``BENCH_sweep.json`` records both wall clocks, their
-ratio, and the measuring host.
+fanned over ``--jobs`` cold worker processes — and
+``BENCH_sweep.json`` records both wall clocks, their ratio, and the
+measuring host.
 
 Two properties are gated, not just recorded:
 
@@ -26,15 +26,13 @@ Two properties are gated, not just recorded:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 
 from repro.api.loader import expand_sweep
 from repro.api.spec import DeploymentSpec
 from repro.errors import ConfigError
-from repro.exec import PointRunner, warm_selection_table
+from repro.exec import PointRunner
 from repro.utils.host import host_metadata
 
 #: Benchmark protocol: requests per grid point (the point cost must
@@ -49,8 +47,8 @@ DEFAULT_SEED = 7
 SWEEP_BENCH_VERSION = 1
 
 #: The fixed 32-point grid: 2 engines x 2 rates x 4 prompt lengths x
-#: 2 output lengths.  The ``auto`` axis makes the warm shared
-#: dispatch table part of the measured protocol, not just an option.
+#: 2 output lengths.  The ``auto`` axis puts each worker's own
+#: engine selection inside the measured protocol.
 GRID_AXES: "dict[str, list]" = {
     "model.engine": ["samoyeds", "auto"],
     "workload.qps": [4.0, 8.0],
@@ -94,9 +92,8 @@ def run_benchmark(jobs: int = DEFAULT_JOBS,
     """Run the two-sided sweep benchmark and return the payload.
 
     The same grid is executed serially and through ``jobs`` worker
-    processes (with the warm-table pre-pass); the payload records
-    both wall clocks, the ratio, whether the payloads came out
-    identical, and the measuring host.
+    processes; the payload records both wall clocks, the ratio,
+    whether the payloads came out identical, and the measuring host.
     """
     if jobs < 1:
         raise ConfigError("jobs must be a positive integer")
@@ -107,12 +104,8 @@ def run_benchmark(jobs: int = DEFAULT_JOBS,
     serial_wall_s, serial = _timed_sweep(
         PointRunner(jobs=1, progress=progress), specs, labels)
 
-    with tempfile.TemporaryDirectory(prefix="repro-sweepbench-") as tmp:
-        table_path = os.path.join(tmp, "dispatch-table.json")
-        warm_selection_table(specs, table_path)
-        parallel_wall_s, parallel = _timed_sweep(
-            PointRunner(jobs=jobs, table_path=table_path,
-                        progress=progress), specs, labels)
+    parallel_wall_s, parallel = _timed_sweep(
+        PointRunner(jobs=jobs, progress=progress), specs, labels)
 
     identical = ([r.report for r in serial]
                  == [r.report for r in parallel])

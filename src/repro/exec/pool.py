@@ -1,26 +1,26 @@
-"""The :class:`PointRunner` process pool.
+"""The :class:`PointRunner` sweep executor.
 
 Sweep points are embarrassingly parallel — every
 :class:`~repro.api.spec.DeploymentSpec` prices deterministically from
-its own seed, with no shared mutable state beyond the dispatch-table
-caches (which :mod:`repro.exec.worker` makes warm-shared and
-merge-safe).  ``PointRunner`` fans a list of specs over a
-``spawn``-context :class:`~concurrent.futures.ProcessPoolExecutor`
-and reassembles the results **by point index**: the returned list is
-always in grid order, whatever order workers finish in.
+its own seed, and what a point leaves behind in its process is
+memoised pricing, such as the per-bucket ``engine="auto"`` winners,
+which any process recomputes identically.  ``PointRunner`` fans a
+list of specs over a ``spawn``-context
+:class:`~concurrent.futures.ProcessPoolExecutor` and reassembles the
+results **by point index**: the returned list is always in grid
+order, whatever order workers finish in.
 
 ``jobs=1`` (or a single point) runs in-process through the same
-:func:`~repro.exec.worker.run_point` entry — the serial timing side
-of ``repro bench sweepbench`` and a no-multiprocessing fallback in
-one.
+:func:`~repro.exec.worker.run_point` entry — every serial sweep of the
+CLI, the serial timing side of ``repro bench sweepbench`` and a
+no-multiprocessing fallback in one.
 
 Fault containment: an infeasible point surfaces as its ``error``
-result (like the serial loop); an unexpected exception inside a
-worker is caught there and marks only that point ``crashed``; if the
-pool itself breaks (a worker process killed hard), every point whose
-future died reports a crash result and the rest of the sweep
-continues to completion — the executor never raises out of ``run``
-for a per-point failure.
+result; an unexpected exception inside a point is caught there and
+marks only that point ``crashed``; if the pool itself breaks (a
+worker process killed hard), every point whose future died reports a
+crash result and the rest of the sweep continues to completion — the
+executor never raises out of ``run`` for a per-point failure.
 """
 
 from __future__ import annotations
@@ -43,13 +43,10 @@ class PointRunner:
 
     Attributes:
         jobs: Worker process count; ``1`` runs in-process.
-        table_path: Optional shared warm dispatch-table file (see
-            :func:`repro.exec.warm.warm_selection_table`).
         progress: Optional per-completion callback.
     """
 
     jobs: int = 1
-    table_path: "str | None" = None
     progress: "ProgressFn | None" = None
 
     def __post_init__(self) -> None:
@@ -70,8 +67,7 @@ class PointRunner:
             payload = spec if isinstance(spec, dict) else spec.to_dict()
             jobs.append(PointJob(
                 index=index, spec=payload,
-                label=labels[index] if labels is not None else "",
-                table_path=self.table_path))
+                label=labels[index] if labels is not None else ""))
         return jobs
 
     def run(self, specs: Sequence, labels: "Sequence[str] | None" = None

@@ -23,11 +23,7 @@ from repro.errors import ConfigError, TilingError
 from repro.hw.spec import GPUSpec
 from repro.kernels.base import GemmProblem, MatmulKernel
 from repro.kernels.tiling import TilingConfig, autotune, candidate_configs
-from repro.utils.persist import (
-    load_versioned_json,
-    merge_versioned_json,
-    save_versioned_json,
-)
+from repro.utils.persist import load_versioned_json, save_versioned_json
 
 
 def problem_bucket(m: int, k: int, n: int) -> tuple[int, int, int]:
@@ -148,18 +144,6 @@ class TuningTable:
     def save(self, path: str | Path) -> None:
         save_versioned_json(path, "tuning table", self.VERSION,
                             self.entries)
-
-    def merge_save(self, path: str | Path) -> None:
-        """Merge this table's entries into the file at ``path``.
-
-        Same load-modify-merge + atomic-replace contract as
-        :meth:`~repro.registry.selector.SelectionTable.merge_save`,
-        so concurrently tuned devices/buckets accumulate in one shared
-        artifact.  The in-memory table adopts the merged view.
-        """
-        self.entries = dict(merge_versioned_json(
-            path, "tuning table", self.VERSION, self.entries,
-            allow_legacy=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "TuningTable":

@@ -15,7 +15,10 @@ Selections are memoised in a :class:`SelectionTable` — a persistent
 buckets, JSON serialisation with a schema ``version`` field, and
 :class:`~repro.errors.ConfigError` (naming the path) on corrupt or
 schema-drifted files.  A deployment ships a pre-selected table the way
-vendor libraries ship per-architecture dispatch tables.
+vendor libraries ship per-architecture dispatch tables.  The table is
+process-wide, not shared between processes: pricing all 13 buckets up
+to a 4,096-token budget takes milliseconds, and selection is
+deterministic, so every sweep worker computes the same winners.
 
 The module registers one shared :data:`AUTO_ENGINE` under the name
 ``"auto"`` on import; :mod:`repro.moe` imports it, so every front door
@@ -34,11 +37,7 @@ from repro.kernels.autotuner import problem_bucket
 from repro.moe.layers import ENGINES, MoEEngine, register_engine
 from repro.registry.capabilities import Capabilities
 from repro.registry.core import Registry
-from repro.utils.persist import (
-    load_versioned_json,
-    merge_versioned_json,
-    save_versioned_json,
-)
+from repro.utils.persist import load_versioned_json, save_versioned_json
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.hw.simulator import CostBreakdown
@@ -71,18 +70,6 @@ class SelectionTable:
         :meth:`AutoEngine._problem_key`)."""
         return f"{device}:{problem}:d{density:g}"
 
-    @staticmethod
-    def step_key(device: str, phase: str, problem: str,
-                 density: float) -> str:
-        """Key of a whole-*step* memo entry (the serving pricer's
-        extension of the per-GEMM selection memo): the ``step:``
-        prefix namespaces it away from :meth:`key`, and the serving
-        phase (``prefill``/``decode``) joins the bucket because the
-        two phases revisit disjoint step shapes.  The entry stores the
-        dispatch winner plus the first modelled whole-step seconds
-        seen in the bucket."""
-        return f"step:{device}:{phase}:{problem}:d{density:g}"
-
     def record(self, key: str, engine: str, seconds: float) -> None:
         self.entries[key] = {"engine": engine, "seconds": float(seconds)}
 
@@ -94,21 +81,6 @@ class SelectionTable:
     def save(self, path: "str | Path") -> None:
         save_versioned_json(path, "selection table", self.VERSION,
                             self.entries)
-
-    def merge_save(self, path: "str | Path") -> None:
-        """Merge this table's entries into the file at ``path``.
-
-        Load-modify-merge through
-        :func:`~repro.utils.persist.merge_versioned_json`: entries
-        already on disk survive, this table's entries win collisions,
-        and the write is atomic — the contract that lets N pool
-        workers accumulate selections in one shared warm table
-        instead of clobbering each other.  The in-memory table adopts
-        the merged view.
-        """
-        self.entries = dict(merge_versioned_json(
-            path, "selection table", self.VERSION, self.entries,
-            entry_ok=lambda v: isinstance(v, dict) and "engine" in v))
 
     @classmethod
     def load(cls, path: "str | Path") -> "SelectionTable":
@@ -309,7 +281,8 @@ class AutoEngine(MoEEngine):
              spec: "GPUSpec",
              num_shared: "int | None" = None) -> "CostBreakdown":
         """The selected engine's breakdown at the actual token count,
-        with ``detail['selected_engine']`` naming the winner."""
+        with ``detail['selected_engine']`` naming the winner (the
+        serving step pricer reads its per-step winner from there)."""
         engine = self.select(config, tokens, spec,
                              num_shared=num_shared)
         result = engine.cost(config, tokens, spec,

@@ -16,17 +16,18 @@ them exactly:
 * prefill attention by prompt length, chunk attention by
   ``(offset, tokens)``, the decode-attention projection GEMMs by batch
   size (the context-dependent remainder is closed-form arithmetic);
-* the monolithic MoE engine cost (time and data-flow overhead) by
-  token count;
+* the monolithic MoE engine cost (time, data-flow overhead and, for
+  ``engine="auto"``, the winner ``AutoEngine.cost`` names in
+  ``detail["selected_engine"]``) by token count;
 * RMSNorm and boundary-collective seconds by token count;
 * whole steps by their exact plan signature — the tuple of prompt
   lengths, chunk slices and the decode ``(batch, context)`` pair — so
   a revisited step shape is one dict lookup instead of a full pricing
-  pass;
-* the ``engine="auto"`` winner per (phase, power-of-two bucket),
-  extending the PR 5 :class:`~repro.registry.selector.SelectionTable`
-  memoisation to whole-step granularity (``step:`` keys record the
-  winner and the first modelled step seconds per bucket).
+  pass.
+
+A step's ``auto`` winner is the one its MoE cost was priced with.
+The selector itself memoises per power-of-two bucket, so every token
+count in a bucket names the same winner.
 
 Because every memoised value is produced by the same pure function the
 pre-calendar loop called, and the sums compose in the same order,
@@ -57,7 +58,7 @@ from repro.moe.scheduler import (
     schedule_parallel,
     segment_seconds_from_loads,
 )
-from repro.registry.selector import AutoEngine, SelectionTable
+from repro.registry.selector import AutoEngine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.context import ExecutionContext
@@ -98,16 +99,16 @@ class StepPricer:
         self.stochastic = self._samoyeds and (self._distributed
                                               or ctx.streams > 1)
         self._segment_kernel = None
-        # Component memos: key -> seconds (or (time_s, dataflow_s)).
+        # Component memos: key -> seconds (or, for the MoE engine,
+        # (time_s, dataflow_s, selected_engine)).
         self._attn: dict[int, float] = {}
         self._chunk: dict[tuple[int, int], float] = {}
         self._proj: dict[int, float] = {}
         self._norm: dict[int, float] = {}
         self._comm: dict[int, float] = {}
-        self._moe: dict[int, tuple[float, float]] = {}
+        self._moe: dict[int, tuple[float, float, str | None]] = {}
         self._segments: dict[int, dict[int, float]] = {}
         self._steps: dict[tuple, tuple[float, float, str | None]] = {}
-        self._winners: dict[tuple, str] = {}
 
     # ------------------------------------------------------------------
     # Whole-step pricing
@@ -132,8 +133,6 @@ class StepPricer:
         priced = self._steps.get(sig)
         if priced is None:
             priced = self._steps[sig] = self._price(plan, context)
-            if priced[2] is not None:
-                self._record_step(plan, priced[0], priced[2])
         return priced
 
     def _price(self, plan: "StepPlan",
@@ -148,11 +147,8 @@ class StepPricer:
         if plan.decode:
             attn += self.decode_attn(context, len(plan.decode))
         tokens = plan.total_tokens
-        winner = None
-        if self._auto and tokens > 0:
-            phase = ("prefill" if (plan.prefill or plan.chunks)
-                     else "decode")
-            winner = self._winner(tokens, phase)
+        winner = (self._moe_cost(tokens)[2]
+                  if self._auto and tokens > 0 else None)
         if not self._distributed:
             layer = attn + self.moe_seconds(tokens) \
                 + self.norm_seconds(tokens)
@@ -229,14 +225,16 @@ class StepPricer:
                 self._cluster)
         return cached_s
 
-    def _moe_cost(self, tokens: int) -> "tuple[float, float]":
-        """Memoised monolithic engine cost: (time_s, dataflow_s)."""
+    def _moe_cost(self, tokens: int) -> "tuple[float, float, str | None]":
+        """Memoised monolithic engine cost: ``(time_s, dataflow_s,
+        selected_engine)``; the last is ``None`` off the auto path."""
         cached = self._moe.get(tokens)
         if cached is None:
             cost = self.ctx.engine.cost(self.ctx.config, tokens,
                                         self.ctx.spec)
             cached = self._moe[tokens] = (
-                cost.time_s, float(cost.detail.get("dataflow_s", 0.0)))
+                cost.time_s, float(cost.detail.get("dataflow_s", 0.0)),
+                cost.detail.get("selected_engine"))
         return cached
 
     # ------------------------------------------------------------------
@@ -251,7 +249,7 @@ class StepPricer:
             return self._moe_cost(tokens)[0]
         # LPT path: overlap per-expert SSMM segments on ctx.streams
         # streams; keep the engine model's data-flow overheads.
-        _, dataflow_s = self._moe_cost(tokens)
+        dataflow_s = self._moe_cost(tokens)[1]
         segments = self._draw_segments(tokens)
         makespan_s = schedule_parallel(segments, ctx.streams).makespan_s
         return makespan_s + dataflow_s
@@ -266,7 +264,7 @@ class StepPricer:
         if not self._samoyeds:
             return self._moe_cost(tokens)[0] / (parallel.ep
                                                 * parallel.tp)
-        _, dataflow_s = self._moe_cost(tokens)
+        dataflow_s = self._moe_cost(tokens)[1]
         segments = self._draw_segments(tokens, tp=parallel.tp)
         if self._placement is not None:
             compute_s = max(device_makespans(segments, self._placement,
@@ -292,63 +290,3 @@ class StepPricer:
         return segment_seconds_from_loads(
             ctx.config, loads, ctx.spec, self._segment_kernel,
             ctx.effective_tile_n, tp=tp, memo=memo)
-
-    # ------------------------------------------------------------------
-    # Auto-dispatch winner (SelectionTable step-key extension)
-    # ------------------------------------------------------------------
-    def _winner(self, tokens: int, phase: str) -> str:
-        """The engine ``auto`` dispatches this step to.
-
-        :meth:`AutoEngine.select` is already constant within a
-        power-of-two problem bucket (its table key is the bucket), so
-        the winner memoises exactly per (phase, bucket).  A shipped
-        table with ``step:`` entries short-circuits even the first
-        query per bucket — after revalidating the named engine the
-        same way ``select`` revalidates its own entries.
-        """
-        engine = self.ctx.engine
-        if not isinstance(engine, AutoEngine):
-            raise InternalError(
-                "auto-winner lookup on a non-auto engine "
-                f"({type(engine).__name__})")
-        cfg, spec = self.ctx.config, self.ctx.spec
-        bucket = AutoEngine._bucket(cfg, tokens)
-        memo_key = (phase, bucket)
-        name = self._winners.get(memo_key)
-        if name is None:
-            step_key = self._step_key(tokens, phase)
-            shipped = engine.table.lookup(step_key)
-            if shipped is not None:
-                choice = engine.validate_choice(shipped, cfg, spec)
-                if choice is not None:
-                    name = choice.name
-            if name is None:
-                name = engine.select(cfg, tokens, spec).name
-            self._winners[memo_key] = name
-        return name
-
-    def _step_key(self, tokens: int, phase: str) -> str:
-        engine = self.ctx.engine
-        if not isinstance(engine, AutoEngine):
-            raise InternalError(
-                "selection-table key requested on a non-auto engine "
-                f"({type(engine).__name__})")
-        return SelectionTable.step_key(
-            self.ctx.spec.name, phase,
-            engine._problem_key(self.ctx.config, tokens, None),
-            engine.density)
-
-    def _record_step(self, plan: "StepPlan", step_s: float,
-                     winner: str) -> None:
-        """Record the winner and first modelled whole-step seconds
-        under the table's ``step:`` namespace, so a saved table primes
-        the next deployment's fast path."""
-        engine = self.ctx.engine
-        if not isinstance(engine, AutoEngine):
-            raise InternalError(
-                "step recording on a non-auto engine "
-                f"({type(engine).__name__})")
-        phase = "prefill" if (plan.prefill or plan.chunks) else "decode"
-        key = self._step_key(plan.total_tokens, phase)
-        if key not in engine.table.entries:
-            engine.table.record(key, winner, step_s)

@@ -13,11 +13,7 @@ Writes are **atomic**: the payload is serialised first, written to a
 temporary file in the destination directory, and moved into place
 with :func:`os.replace` — a concurrent reader sees either the old
 payload or the new one, never a torn file, and a crash mid-write
-leaves the old payload intact.  :func:`merge_versioned_json` builds
-on that with load-modify-merge semantics, so concurrent writers
-(e.g. the :mod:`repro.exec` process-pool workers accumulating
-selector entries) union their entries instead of clobbering each
-other last-writer-wins.
+leaves the old payload intact.
 """
 
 from __future__ import annotations
@@ -60,37 +56,6 @@ def save_versioned_json(path: "str | Path", kind: str, version: int,
         except OSError:
             pass
         raise
-
-
-def merge_versioned_json(path: "str | Path", kind: str, version: int,
-                         entries: dict, *,
-                         allow_legacy: bool = False,
-                         entry_ok: "Callable[[object], bool] | None" = None
-                         ) -> dict:
-    """Load-modify-merge ``entries`` into the file at ``path``.
-
-    If ``path`` exists its entries are loaded (with the usual
-    validation), updated with ``entries`` (the caller's fresh entries
-    win on key collisions — table entries are deterministic
-    recomputations, so either side would do), and the union is
-    atomically rewritten.  A missing file degrades to a plain save.
-    Returns the merged entries mapping.
-
-    This is what makes N concurrent writers *accumulate* instead of
-    clobber: each merges the others' keys back in before writing.  Two
-    writers racing between load and replace can still drop the loser's
-    novel keys for that one write — the next merge re-adds them, and
-    because entries are deterministic the loss is only ever a cache
-    miss, never corruption.
-    """
-    merged: dict = {}
-    if Path(path).exists():
-        merged = dict(load_versioned_json(
-            path, kind, version, allow_legacy=allow_legacy,
-            entry_ok=entry_ok))
-    merged.update(entries)
-    save_versioned_json(path, kind, version, merged)
-    return merged
 
 
 def load_versioned_json(path: "str | Path", kind: str, version: int, *,

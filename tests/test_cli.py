@@ -55,6 +55,24 @@ class TestCommands:
         with pytest.raises(RuntimeError):
             main(["maxbatch", "--seq", "1024"])
 
+    @pytest.mark.parametrize("dim", ["m", "k", "n"])
+    @pytest.mark.parametrize("command", ["kernels", "tune", "roofline"])
+    def test_nonpositive_problem_dim_is_usage_error(self, capsys,
+                                                    command, dim):
+        for value in ("0", "-5"):
+            assert main([command, f"--{dim}", value]) == 2
+            err = capsys.readouterr().err
+            assert f"repro bench {command}: --{dim} must be positive" \
+                in err
+
+    @pytest.mark.parametrize("seq", ["0", "-1"])
+    def test_maxbatch_nonpositive_seq_is_usage_error(self, capsys, seq):
+        assert main(["maxbatch", "--seq", seq]) == 2
+        captured = capsys.readouterr()
+        assert "repro bench maxbatch: --seq must be positive" \
+            in captured.err
+        assert captured.out == ""
+
     def test_experiments_single(self, capsys):
         assert main(["experiments", "fig11"]) == 0
         assert "Figure 11b" in capsys.readouterr().out

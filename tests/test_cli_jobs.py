@@ -4,7 +4,9 @@ The executor's user-facing contract: ``repro bench run`` and ``repro
 bench scale`` emit **byte-identical** JSON whether the points run
 serially or fanned over worker processes — including under the
 runtime sim-sanitizer — and an infeasible sweep point keeps its grid
-position as an ``error`` entry either way.
+position as an ``error`` entry either way.  A crashing point is
+contained to its own entry in ``run``, ``scale`` and ``disagg``, and
+the command exits 1 after writing the payload.
 """
 
 import json
@@ -60,16 +62,6 @@ class TestRunGolden:
         assert code == 0
         assert sanitized == baseline
 
-    def test_cold_table_also_identical(self, capsys):
-        """--no-warm skips the pre-pass; winners are recomputed in
-        each worker but are deterministic, so bytes still match."""
-        code, serial = run_cli(capsys, ["run", CLUSTER_SWEEP])
-        assert code == 0
-        code, cold = run_cli(capsys, ["run", CLUSTER_SWEEP,
-                                      "--jobs", "2", "--no-warm"])
-        assert code == 0
-        assert cold == serial
-
 
 class TestInfeasiblePointPosition:
     @pytest.fixture
@@ -122,3 +114,87 @@ class TestScaleGolden:
         payload = json.loads(serial)
         assert [p["devices"] for p in payload["strong"]] == [1, 2]
         assert [p["devices"] for p in payload["weak"]] == [1, 2]
+
+
+SMALL_DISAGG = {
+    "model": {"name": "mixtral-8x7b", "engine": "samoyeds",
+              "num_layers": 1},
+    "hardware": {"gpu": "h100"},
+    "serving": {"page_size": 16, "pools": [
+        {"name": "pf", "role": "prefill"},
+        {"name": "dc", "role": "decode", "gpu": "w7900",
+         "engine": "vllm-ds"}]},
+    "workload": {"kind": "poisson", "requests": 6, "qps": 120.0,
+                 "prompt_tokens": 64, "output_tokens": 4, "seed": 3},
+}
+
+CRASH = "worker crashed: RuntimeError: simulated bug"
+
+
+class TestCrashedPoint:
+    """A point that raises a non-``ReproError`` is contained to its
+    own payload entry in a serial (``--jobs 1``, in-process) sweep;
+    the other points still report and the command exits 1."""
+
+    @pytest.fixture
+    def crash_when(self, monkeypatch):
+        """Make ``Deployment.run`` raise for specs matching a
+        predicate."""
+        from repro.api import deployment
+
+        original = deployment.Deployment.run
+
+        def install(predicate):
+            def run(self, *args, **kwargs):
+                if predicate(self.spec):
+                    raise RuntimeError("simulated bug")
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(deployment.Deployment, "run", run)
+
+        return install
+
+    def test_run_sweep_contains_crash(self, capsys, tmp_path, crash_when):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(json.dumps({
+            "model": {"name": "mixtral-8x7b", "engine": "samoyeds",
+                      "num_layers": 1},
+            "hardware": {"gpu": "a100"},
+            "workload": {"kind": "poisson", "requests": 6, "qps": 8.0,
+                         "prompt_tokens": 64, "output_tokens": 4,
+                         "seed": 7},
+            "sweep": {"workload.qps": [4.0, 8.0]},
+        }))
+        crash_when(lambda spec: spec.workload.qps == 8.0)
+        assert main(["run", str(path), "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        sweep = json.loads(captured.out)["sweep"]
+        assert "report" in sweep[0] and "error" not in sweep[0]
+        assert sweep[1] == {"overrides": {"workload.qps": 8.0},
+                            "error": CRASH}
+        # The serial sweep reports each point as the executor's
+        # progress line, the crash included.
+        assert "# [1/2] workload.qps=4.0: ok" in captured.err
+        assert f"# [2/2] workload.qps=8.0: {CRASH}" in captured.err
+
+    def test_scale_contains_crash(self, capsys, crash_when):
+        # The weak-scaling point at 2 devices doubles the requests.
+        crash_when(lambda spec: spec.hardware.parallel.ep == 2
+                   and spec.workload.requests == 16)
+        code, out = run_cli(capsys, SCALE_ARGS + ["--jobs", "1"])
+        assert code == 1
+        payload = json.loads(out)
+        assert all("qps_sustained" in p for p in payload["strong"])
+        assert "qps_sustained" in payload["weak"][0]
+        assert payload["weak"][1] == {"devices": 2, "error": CRASH}
+
+    def test_disagg_contains_crash(self, capsys, tmp_path, crash_when):
+        path = tmp_path / "disagg.yaml"
+        path.write_text(json.dumps(SMALL_DISAGG))
+        crash_when(lambda spec: not spec.serving.pools)   # colocated
+        code, out = run_cli(capsys, ["disagg", str(path), "--splits",
+                                     "1:1", "--jobs", "1"])
+        assert code == 1
+        points = json.loads(out)["points"]
+        assert points[0] == {"split": "colocated", "error": CRASH}
+        assert points[1]["split"] == "1:1" and "report" in points[1]

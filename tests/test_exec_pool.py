@@ -11,9 +11,7 @@ import pytest
 
 from repro.api.spec import DeploymentSpec
 from repro.errors import ConfigError
-from repro.exec import (PointJob, PointRunner, run_point,
-                        warm_selection_table, warm_tokens)
-from repro.registry.selector import AUTO_ENGINE, SelectionTable
+from repro.exec import PointJob, PointRunner, run_point
 
 
 def make_spec(**overrides):
@@ -33,17 +31,6 @@ def make_spec(**overrides):
 #: The known-infeasible override: 16 expert-parallel ranks cannot
 #: place Mixtral's 8 experts.
 INFEASIBLE = {"hardware.parallel": "ep=16"}
-
-
-class TestWarmTokens:
-    def test_powers_of_two_cover_budget(self):
-        assert warm_tokens(8) == [1, 2, 4, 8]
-
-    def test_final_partial_bucket_appended(self):
-        assert warm_tokens(5) == [1, 2, 4, 5]
-
-    def test_budget_of_one(self):
-        assert warm_tokens(1) == [1]
 
 
 class TestRunnerValidation:
@@ -80,7 +67,8 @@ class TestSerialExecution:
         assert result.error
 
     def test_unexpected_exception_is_contained_as_crash(self,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        capsys):
         from repro.api import deployment
 
         def boom(self):
@@ -93,6 +81,9 @@ class TestSerialExecution:
         assert result.index == 3 and result.label == "p3"
         assert "RuntimeError" in result.error
         assert "simulated bug" in result.error
+        # The traceback the result cannot carry goes to stderr.
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "simulated bug" in err
 
     def test_progress_called_per_point_in_order(self):
         seen = []
@@ -105,8 +96,11 @@ class TestSerialExecution:
 
 class TestPoolExecution:
     """The spawn-pool path.  One grid run exercises determinism,
-    index ordering, fault containment and the warm shared table in a
-    single fan-out (spawn workers are expensive to start)."""
+    index ordering and fault containment in a single fan-out (spawn
+    workers are expensive to start).  Each worker starts with an
+    empty selection table and warms its own, so the grid's two
+    ``auto`` points check that cold workers select the serial run's
+    winners."""
 
     GRID = [
         {},
@@ -115,16 +109,14 @@ class TestPoolExecution:
         {"model.engine": "auto", "workload.qps": 4.0},
     ]
 
-    def test_pool_matches_serial_with_warm_table(self, tmp_path):
+    def test_pool_matches_serial_with_warm_table(self):
         specs = [make_spec(**o) for o in self.GRID]
         labels = [f"p{i}" for i in range(len(specs))]
         serial = PointRunner(jobs=1).run(specs, labels)
 
-        table_path = str(tmp_path / "dispatch-table.json")
-        warm_selection_table(specs, table_path)
         seen = []
         parallel = PointRunner(
-            jobs=2, table_path=table_path,
+            jobs=2,
             progress=lambda r, done, total: seen.append((done, total))
         ).run(specs, labels)
 
@@ -150,18 +142,3 @@ class TestPoolExecution:
         assert results[0].crashed and not results[0].ok
         assert results[1].ok and results[2].ok
         assert results[1].report == results[2].report
-
-
-class TestWarmSelectionTable:
-    def test_warms_and_saves_auto_selections(self, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setattr(AUTO_ENGINE, "table", SelectionTable())
-        path = tmp_path / "table.json"
-        spec = make_spec(**{"model.engine": "auto"})
-        count = warm_selection_table([spec], str(path))
-        assert count > 0
-        assert len(SelectionTable.load(path).entries) == count
-
-    def test_non_auto_specs_contribute_nothing(self, monkeypatch):
-        monkeypatch.setattr(AUTO_ENGINE, "table", SelectionTable())
-        assert warm_selection_table([make_spec()]) == 0

@@ -1,10 +1,8 @@
-"""Atomic + merge-on-write persistence (``repro.utils.persist``).
+"""Atomic persistence (``repro.utils.persist``).
 
-The dispatch-table files are shared between concurrent sweep workers,
-so the write path carries two guarantees the parallel executor leans
-on: a crash mid-write leaves the old payload intact (atomic temp-file
-+ ``os.replace``), and concurrent writers accumulate entries instead
-of clobbering each other (load-modify-merge).
+The dispatch-table files are written atomically: a crash mid-write
+leaves the old payload intact (temp file + ``os.replace``) and a
+reader never sees a torn file.
 """
 
 import json
@@ -12,11 +10,7 @@ import os
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.kernels.autotuner import TuningTable
-from repro.registry.selector import SelectionTable
-from repro.utils.persist import (load_versioned_json, merge_versioned_json,
-                                 save_versioned_json)
+from repro.utils.persist import load_versioned_json, save_versioned_json
 
 
 def read_json(path):
@@ -78,64 +72,3 @@ class TestAtomicSave:
         payload = read_json(path)
         assert payload["version"] == 3
         assert list(payload["entries"]) == ["a", "b"]
-
-
-class TestMergeVersionedJson:
-    def test_missing_file_degrades_to_save(self, tmp_path):
-        path = tmp_path / "table.json"
-        merged = merge_versioned_json(path, "table", 1, {"a": {"v": 1}})
-        assert merged == {"a": {"v": 1}}
-        assert load_versioned_json(path, "table", 1) == merged
-
-    def test_merge_accumulates_and_caller_wins(self, tmp_path):
-        path = tmp_path / "table.json"
-        save_versioned_json(path, "table", 1,
-                            {"a": {"v": 1}, "b": {"v": 2}})
-        merged = merge_versioned_json(path, "table", 1,
-                                      {"b": {"v": 9}, "c": {"v": 3}})
-        assert merged == {"a": {"v": 1}, "b": {"v": 9}, "c": {"v": 3}}
-        assert load_versioned_json(path, "table", 1) == merged
-
-    def test_merge_rejects_corrupt_file(self, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="unreadable"):
-            merge_versioned_json(path, "table", 1, {"a": {}})
-
-    def test_merge_accepts_legacy_when_allowed(self, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps({"a": {"v": 1}}))    # bare entries
-        merged = merge_versioned_json(path, "table", 1, {"b": {"v": 2}},
-                                      allow_legacy=True)
-        assert merged == {"a": {"v": 1}, "b": {"v": 2}}
-        # The rewrite upgrades the file to the versioned envelope.
-        assert read_json(path)["version"] == 1
-
-    def test_merge_validates_entries_with_entry_ok(self, tmp_path):
-        path = tmp_path / "table.json"
-        save_versioned_json(path, "table", 1, {"a": {"no-engine": 1}})
-        with pytest.raises(ConfigError, match="malformed"):
-            merge_versioned_json(
-                path, "table", 1, {"b": {"engine": "x"}},
-                entry_ok=lambda v: isinstance(v, dict) and "engine" in v)
-
-
-class TestTableMergeSave:
-    def test_selection_tables_accumulate(self, tmp_path):
-        path = tmp_path / "selection.json"
-        first = SelectionTable({"k1": {"engine": "samoyeds"}})
-        first.merge_save(path)
-        second = SelectionTable({"k2": {"engine": "venom"}})
-        second.merge_save(path)
-        assert second.entries == {"k1": {"engine": "samoyeds"},
-                                  "k2": {"engine": "venom"}}
-        loaded = SelectionTable.load(path)
-        assert loaded.entries == second.entries
-
-    def test_tuning_tables_accumulate(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        TuningTable({"p1": {"tile": [64, 64]}}).merge_save(path)
-        table = TuningTable({"p2": {"tile": [128, 32]}})
-        table.merge_save(path)
-        assert set(table.entries) == {"p1", "p2"}
-        assert TuningTable.load(path).entries == table.entries

@@ -306,8 +306,8 @@ def test_memo_poisoning_detected():
 def test_component_memo_poisoning_detected():
     pricer = make_pricer(check_every=1)
     pricer.price(plan_for(1, 2))
-    time_s, dataflow_s = pricer._moe[2]  # poisoned component memo
-    pricer._moe[2] = (time_s * 2, dataflow_s)
+    time_s, dataflow_s, winner = pricer._moe[2]  # poisoned component memo
+    pricer._moe[2] = (time_s * 2, dataflow_s, winner)
     # A fresh step signature (different decode context) reprices
     # through the poisoned 2-token MoE component; the fresh re-price
     # computes it clean and diverges.
