@@ -16,7 +16,7 @@ from repro.hw.interconnect import ParallelPlan
 from repro.models.full_model import cluster_model_estimate
 from repro.moe.config import get_model
 from repro.moe.memory_model import weight_bytes
-from repro.serve import poisson_trace, simulate
+from repro.serve import ServingEngine, poisson_trace
 from repro.utils.units import GIB
 
 MODEL, GPU, SEED = "mixtral-8x7b", "rtx4070s", 7
@@ -35,12 +35,13 @@ def main() -> None:
           f"(saturating load):")
     for ep in EP_SWEEP:
         plan = ParallelPlan(ep=ep)
-        report = simulate(MODEL, "samoyeds", GPU, trace=trace, seed=SEED,
-                          parallel=plan.describe(), link="nvlink")
+        ctx = ExecutionContext.create(MODEL, "samoyeds", GPU,
+                                      parallel=plan, link="nvlink")
+        report = ServingEngine(ctx=ctx, seed=SEED).run(trace)
         cluster = report.cluster or {}
         weights = weight_bytes(config, "samoyeds", plan)
         print(f"  ep={ep}  {report.qps_sustained:6.2f} qps  "
-              f"ttft p50 {report.ttft_s['p50'] * 1e3:6.1f} ms  "
+              f"ttft p50 {report.ttft_s.p50 * 1e3:6.1f} ms  "
               f"weights/dev {weights / GIB:5.2f} GiB  "
               f"comm {cluster.get('comm_fraction', 0.0) * 100:4.1f}%")
 
@@ -49,8 +50,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\nep=8 under progressively slower links:")
     for link in ("nvlink", "pcie4", "ib"):
-        report = simulate(MODEL, "samoyeds", GPU, trace=trace, seed=SEED,
-                          parallel="ep=8", link=link)
+        ctx = ExecutionContext.create(MODEL, "samoyeds", GPU,
+                                      parallel="ep=8", link=link)
+        report = ServingEngine(ctx=ctx, seed=SEED).run(trace)
         print(f"  {link:7s} {report.qps_sustained:6.2f} qps  "
               f"comm {report.cluster['comm_fraction'] * 100:4.1f}%")
 
@@ -60,10 +62,10 @@ def main() -> None:
     skewed = poisson_trace(32, rate_qps=100.0, prompt_tokens=512,
                            output_tokens=16, seed=SEED)
     print("\nplacement under zipf(1.0) routing skew, ep=4:")
+    ctx = ExecutionContext.create(MODEL, "samoyeds", GPU, parallel="ep=4")
     for policy in ("balanced", "round_robin"):
-        report = simulate(MODEL, "samoyeds", GPU, trace=skewed, seed=SEED,
-                          parallel="ep=4", routing_skew=1.0,
-                          placement_policy=policy)
+        report = ServingEngine(ctx=ctx, seed=SEED, routing_skew=1.0,
+                               placement_policy=policy).run(skewed)
         print(f"  {policy:11s} {report.qps_sustained:6.2f} qps  "
               f"experts/device {report.cluster['experts_per_device']}")
 

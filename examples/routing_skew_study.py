@@ -8,6 +8,7 @@ much multi-stream scheduling of the per-expert SSMM segments recovers.
 Run:  python examples/routing_skew_study.py
 """
 
+from repro.context import ExecutionContext
 from repro.hw import get_gpu
 from repro.moe import MODEL_REGISTRY
 from repro.moe.scheduler import compare_policies
@@ -26,6 +27,8 @@ TILE = 64
 
 def main() -> None:
     spec = get_gpu("rtx4070s")
+    ctx = ExecutionContext.create(CFG, "samoyeds", spec, streams=4,
+                                  tile_n=TILE)
     print(f"model: {CFG.name} ({CFG.num_experts} experts, "
           f"top_k={CFG.top_k}), {TOKENS} tokens, n-tile {TILE}\n")
 
@@ -39,8 +42,7 @@ def main() -> None:
                            skew=skew, seed=41)
         pad = padding_report(plan, TILE)
         critical = critical_path_tokens(plan, TILE)
-        policies = compare_policies(CFG, plan, spec, streams=4,
-                                    tile_n=TILE)
+        policies = compare_policies(ctx, plan)
         print(f"{skew:>5.1f} {plan.load_imbalance():>10.2f} "
               f"{pad.waste_fraction:>14.1%} {critical:>14d} "
               f"{format_seconds(policies['sequential'].makespan_s):>12s} "

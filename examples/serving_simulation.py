@@ -15,10 +15,10 @@ from repro.moe.memory_model import KVCacheTracker, max_batch_size
 from repro.serve import (
     ChunkedPrefillBatcher,
     ContinuousBatcher,
+    ServingEngine,
     StaticBatcher,
     bursty_trace,
     poisson_trace,
-    simulate,
 )
 
 MODEL, GPU, SEED = "mixtral-8x7b", "a100", 7
@@ -34,11 +34,12 @@ def main() -> None:
     print(f"{MODEL} on {GPU}, bursty trace, {len(trace)} requests:")
     for batcher in (ContinuousBatcher(token_budget=4096),
                     StaticBatcher(batch_size=8)):
-        report = simulate(ctx, trace=trace, batcher=batcher, seed=SEED)
+        report = ServingEngine(ctx=ctx, batcher=batcher,
+                               seed=SEED).run(trace)
         print(f"  {batcher.name:10s} {report.qps_sustained:5.2f} qps  "
-              f"ttft p50 {report.ttft_s['p50'] * 1e3:7.1f} ms  "
-              f"p99 {report.ttft_s['p99'] * 1e3:7.1f} ms  "
-              f"tpot p50 {report.tpot_s['p50'] * 1e3:6.2f} ms")
+              f"ttft p50 {report.ttft_s.p50 * 1e3:7.1f} ms  "
+              f"p99 {report.ttft_s.p99 * 1e3:7.1f} ms  "
+              f"tpot p50 {report.tpot_s.p50 * 1e3:6.2f} ms")
 
     # ------------------------------------------------------------------
     # All engines under identical Poisson traffic.
@@ -48,10 +49,11 @@ def main() -> None:
                    "samoyeds"):
         trace = poisson_trace(48, rate_qps=3.0, prompt_tokens=256,
                               output_tokens=24, seed=SEED)
-        report = simulate(ctx.with_engine(engine), trace=trace, seed=SEED)
+        report = ServingEngine(ctx=ctx.with_engine(engine),
+                               seed=SEED).run(trace)
         print(f"  {engine:12s} {report.qps_sustained:5.2f} qps  "
               f"{report.output_tokens_per_s:6.1f} tok/s  "
-              f"ttft p99 {report.ttft_s['p99'] * 1e3:8.1f} ms  "
+              f"ttft p99 {report.ttft_s.p99 * 1e3:8.1f} ms  "
               f"max concurrency {report.max_concurrency}")
 
     # ------------------------------------------------------------------
@@ -75,16 +77,17 @@ def main() -> None:
     print("\npaged KV + chunked prefill, 2k-token prompts "
           "(EOS-sampled outputs):")
     for engine in ("samoyeds", "vllm-ds"):
-        base = simulate(ctx.with_engine(engine), trace=long_trace,
-                        batcher=ContinuousBatcher(token_budget=1024),
-                        num_layers=4, seed=SEED)
-        paged = simulate(ctx.with_engine(engine), trace=long_trace,
-                         batcher=ChunkedPrefillBatcher(token_budget=1024),
-                         num_layers=4, seed=SEED, page_size=16)
+        engine_ctx = ctx.with_engine(engine)
+        base = ServingEngine(
+            ctx=engine_ctx, batcher=ContinuousBatcher(token_budget=1024),
+            num_layers=4, seed=SEED).run(long_trace)
+        paged = ServingEngine(
+            ctx=engine_ctx, batcher=ChunkedPrefillBatcher(token_budget=1024),
+            num_layers=4, seed=SEED, page_size=16).run(long_trace)
         print(f"  {engine:9s} conservative: conc {base.max_concurrency:2d}"
-              f"  ttft p99 {base.ttft_s['p99'] * 1e3:7.1f} ms   "
+              f"  ttft p99 {base.ttft_s.p99 * 1e3:7.1f} ms   "
               f"paged+chunked: conc {paged.max_concurrency:2d}  "
-              f"ttft p99 {paged.ttft_s['p99'] * 1e3:7.1f} ms  "
+              f"ttft p99 {paged.ttft_s.p99 * 1e3:7.1f} ms  "
               f"preemptions {paged.preemptions}")
 
 

@@ -22,8 +22,8 @@ Violations raise :class:`~repro.errors.SanitizerError` carrying the
 invariant name and the event/request/step involved, so the failure
 points at the source rather than at a drifted downstream percentile.
 
-Enabling: ``REPRO_SANITIZE=1`` in the environment, or
-``sanitize=True`` on :func:`repro.serve.engine.simulate` /
+Enabling: ``REPRO_SANITIZE=1`` in the environment, ``sanitize=True`` on
+:class:`repro.serve.engine.ServingEngine`, or ``serving.sanitize`` on a
 :class:`repro.api.DeploymentSpec`.  The wrappers replay the same
 arithmetic as the unwrapped classes, so a sanitized run's report is
 byte-identical to an unsanitized one (the golden tests pin this).

@@ -27,7 +27,6 @@ from repro.api.spec import (
     ENGINE_ALIASES,
     PLACEMENT_POLICIES,
     SECTIONS,
-    TRACE_KINDS,
     DeploymentSpec,
     HardwareSpec,
     ModelSpec,
@@ -58,7 +57,6 @@ __all__ = [
     "load_deployment",
     "load_sweep",
     "ENGINE_ALIASES",
-    "TRACE_KINDS",
     "PLACEMENT_POLICIES",
     "SECTIONS",
 ]

@@ -8,11 +8,11 @@ arrival trace — for callers that want to drive
 ``build()`` plus the event loop, returning the typed
 :class:`~repro.serve.metrics.ServeReport`.
 
-The construction here is *definitionally* what the legacy
-:func:`repro.serve.simulate` call does with the equivalent kwargs: the
-same ``ExecutionContext.create`` path, the same batcher factory and the
-same seeded trace generators, so a default-spec run is byte-identical
-to its pre-spec counterpart (the golden tests pin this).
+The construction goes through the same ``ExecutionContext.create``
+path, batcher factory and seeded trace generators a caller building
+:class:`~repro.serve.engine.ServingEngine` directly would use, so a
+spec run is byte-identical to the equivalent hand-built engine (the
+golden tests pin this).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.api.spec import DeploymentSpec
 from repro.context import ExecutionContext
 from repro.serve.batcher import Batcher, make_batcher
-from repro.serve.disagg import DisaggCluster, DisaggServingEngine, PoolSpec
+from repro.serve.disagg import DisaggServingEngine, PoolSpec
 from repro.serve.engine import Pool, ServingEngine
 from repro.serve.metrics import ServeReport
 from repro.workloads import WORKLOADS, Request, assign_tenants
@@ -151,17 +151,15 @@ class Deployment:
         run_settings = dict(tenants=w.tenants, scheduler=serving.scheduler,
                             horizon_s=serving.horizon_s)
         pools = serving.pools
-        if pools is not None:
-            cluster = DisaggCluster.build(pools,
-                                          link=serving.transfer_link)
-            if not cluster.is_degenerate:
-                return DisaggServingEngine(
-                    [Pool(self.build_pool_context(p),
-                          self.build_pool_batcher(p), name=p.name,
-                          role=p.role, **pool_settings)
-                     for p in cluster.pools],
-                    link=cluster.link, router=serving.router,
-                    **run_settings)
+        if pools is not None and not (len(pools) == 1
+                                      and pools[0].role == "both"):
+            return DisaggServingEngine(
+                [Pool(self.build_pool_context(p),
+                      self.build_pool_batcher(p), name=p.name,
+                      role=p.role, **pool_settings)
+                 for p in pools],
+                link=serving.transfer_link, router=serving.router,
+                **run_settings)
         degenerate = pools[0] if pools is not None else None
         ctx = (self.build_pool_context(degenerate)
                if degenerate is not None and (

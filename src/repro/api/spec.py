@@ -1,10 +1,8 @@
 """Typed deployment specs: the declarative half of the public API.
 
 The serving stack spans engines, batchers, paged KV admission, parallel
-plans and cluster topologies; before this module its only entry points
-were the many-kwarg :func:`repro.serve.simulate` signature and a pile of
-CLI flags.  Here every choice becomes *data*: four frozen section specs
-composed into one :class:`DeploymentSpec` —
+plans and cluster topologies.  Here every choice becomes *data*: four
+frozen section specs composed into one :class:`DeploymentSpec` —
 
 * :class:`ModelSpec` — which Table-2 model and MoE engine, how many
   decoder layers per step, FlashAttention on or off;
@@ -27,6 +25,7 @@ sweep grids expand through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
@@ -49,11 +48,6 @@ import repro.registry.selector  # noqa: F401  (registers engine "auto")
 #: Friendly engine aliases accepted anywhere an engine is named (specs
 #: and the ``serve --engines`` flag; the CLI re-exports this map).
 ENGINE_ALIASES = {"vllm": "vllm-ds", "hf": "transformers"}
-
-#: Trace kinds a :class:`WorkloadSpec` can generate.  Deprecated alias
-#: of the :data:`repro.workloads.WORKLOADS` registry keys (kept for
-#: pre-registry imports); registering a new workload extends it.
-TRACE_KINDS = tuple(WORKLOADS)
 
 #: Expert-placement policies (mirrors ``moe.scheduler.place_experts``).
 PLACEMENT_POLICIES = ("balanced", "round_robin")
@@ -94,6 +88,8 @@ def _check_positive_float(path: str, value: object,
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"must be a number, got {value!r}")
+    if not math.isfinite(value):
+        _fail(path, f"must be finite, got {value!r}")
     if value <= 0:
         _fail(path, "must be > 0")
 
@@ -447,8 +443,8 @@ class WorkloadSpec(_SpecBase):
             _fail("workload.crowd_factor", "must be > 1")
         if (isinstance(self.crowd_start_s, bool)
                 or not isinstance(self.crowd_start_s, (int, float))
-                or self.crowd_start_s < 0):
-            _fail("workload.crowd_start_s", "must be >= 0")
+                or not 0 <= self.crowd_start_s < math.inf):
+            _fail("workload.crowd_start_s", "must be finite and >= 0")
         _check_positive_float("workload.crowd_duration_s",
                               self.crowd_duration_s)
         if self.trace_path is not None:
@@ -483,6 +479,8 @@ class WorkloadSpec(_SpecBase):
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             _fail("workload.seed",
                   f"must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            _fail("workload.seed", "must be >= 0")
 
     def _encode_field(self, name: str, value: Any) -> Any:
         if name == "tenants":

@@ -7,7 +7,7 @@ Subcommands:
 * ``tune --m --k --n [--gpu]`` — autotune the Samoyeds kernel;
 * ``roofline --m --k --n [--gpu]`` — place every kernel on the roofline;
 * ``maxbatch [--gpu] [--seq]`` — Table-3 style memory report;
-* ``serve --engines a,b --trace poisson`` — continuous-batching serving
+* ``serve --engines a,b --workload poisson`` — continuous-batching serving
   simulation comparing engines under identical traffic (JSON report);
   ``--parallel ep=4,tp=2`` shards the server over a device grid;
 * ``scale --devices 1,2,4,8`` — strong/weak scaling sweep over device
@@ -248,7 +248,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("repro bench serve: --page-size must be >= 0",
               file=sys.stderr)
         return 2
-    workload_kind = args.workload or args.trace
     try:
         base = DeploymentSpec.from_dict({
             "model": {"name": args.model, "num_layers": args.layers},
@@ -268,7 +267,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                             "router": args.router,
                             "transfer_link": args.transfer_link}
                            if args.pools else {})},
-            "workload": {"kind": workload_kind,
+            "workload": {"kind": args.workload,
                          "requests": args.requests,
                          "qps": args.qps,
                          "prompt_tokens": args.prompt_tokens,
@@ -300,14 +299,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if rows:
         print(render_table(
             REPORT_HEADERS, rows,
-            title=(f"{args.model} on {args.gpu}: {workload_kind} "
+            title=(f"{args.model} on {args.gpu}: {args.workload} "
                    f"trace, {args.requests} requests at {args.qps} "
                    f"QPS")),
             file=sys.stderr)
     payload = {
         "model": args.model,
         "gpu": args.gpu,
-        "trace": workload_kind,
+        "trace": args.workload,
         "qps_offered": args.qps,
         "requests": args.requests,
         "seed": args.seed,
@@ -499,8 +498,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                           [p.describe() for p in points])
     # A no-sweep config loads as exactly one override-free point.
     if len(points) == 1 and not points[0].overrides:
-        # Single run: the payload IS the report, so the JSON stays
-        # interchangeable with a legacy `simulate()` result.
+        # Single run: the payload IS the report (a plain
+        # `ServeReport.to_dict()`).
         [result] = results
         if result.error is not None:
             print(f"repro bench run: {_status(result)}", file=sys.stderr)
@@ -770,13 +769,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(MODEL_REGISTRY))
     p.add_argument("--engines", default="samoyeds,vllm-ds",
                    help="comma-separated engines (vllm = vllm-ds)")
-    p.add_argument("--trace", default="poisson",
-                   choices=["poisson", "bursty"],
-                   help="legacy workload alias (see --workload)")
-    p.add_argument("--workload", default=None,
+    p.add_argument("--workload", default="poisson",
                    help="workload kind from the WORKLOADS registry "
-                        "(see `repro list workloads`); overrides "
-                        "--trace")
+                        "(see `repro list workloads`)")
     p.add_argument("--trace-path", default=None,
                    help="CSV trace file for --workload trace")
     p.add_argument("--scheduler", default="youngest_first",

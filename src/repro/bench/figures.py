@@ -26,6 +26,7 @@ from repro.workloads.gemm import (
     scaling_cases,
     synthetic_cases,
 )
+from repro.context import ExecutionContext
 from repro.errors import CapacityError, ConfigError
 from repro.hw.spec import get_gpu
 from repro.kernels import KERNELS
@@ -202,7 +203,8 @@ def fig15_end2end() -> ExperimentResult:
     data = {}
     for name, cfg in MODEL_REGISTRY.items():
         batch, seq = settings[name]
-        speed = end_to_end_speedups(cfg, spec, batch=batch, seq_len=seq)
+        ctx = ExecutionContext.create(cfg, "transformers", spec)
+        speed = end_to_end_speedups(ctx, batch=batch, seq_len=seq)
         data[name] = speed
         rows.append([name, batch,
                      fmt_speedup(speed.get("megablocks")),
@@ -226,7 +228,8 @@ def fig16_batch(batches: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
     data = {}
     for name, cfg in MODEL_REGISTRY.items():
         seq = SEQ_FOR_MODEL[name]
-        sweep = throughput_sweep(cfg, spec, list(batches), seq,
+        ctx = ExecutionContext.create(cfg, "transformers", spec)
+        sweep = throughput_sweep(ctx, list(batches), seq,
                                  engines=["transformers", "megablocks",
                                           "vllm-ds", "samoyeds"])
         series = {}

@@ -1,13 +1,11 @@
-"""Shared execution context for model-, scheduler- and bench-level code.
+"""Shared execution context for model-, scheduler- and serving-level code.
 
-Before the serving engine existed, every layer of the stack threaded the
-same ad-hoc argument tuple — ``(config, engine, spec, kernel, tile_n,
-flash, ...)`` — through its own signatures (``models/runner.py``,
-``moe/scheduler.py``, ``bench/harness.py``).  :class:`ExecutionContext`
-bundles those choices into one immutable object so the request-level
-serving simulator in :mod:`repro.serve` can hand a single value to the
-cost stack, while the legacy positional signatures keep working through
-:meth:`ExecutionContext.resolve`.
+:class:`ExecutionContext` bundles the choices every layer of the cost
+stack needs — model config, engine, device, kernel, tiling, flash,
+streams, tile size, parallel plan and topology — into one immutable
+object.  The runner (``models/runner.py``), the expert-segment
+schedulers (``moe/scheduler.py``) and the serving simulator in
+:mod:`repro.serve` all take it as their one argument for those choices.
 """
 
 from __future__ import annotations
@@ -108,8 +106,9 @@ class ExecutionContext:
         :class:`~repro.hw.interconnect.LinkSpec` or registry name —
         derives a homogeneous cluster of ``gpu`` copies joined by that
         link when the plan is non-trivial and no explicit ``cluster``
-        was given.  This is the one construction path shared by
-        :func:`repro.serve.simulate`, the CLI and the deployment API.
+        was given.  This is the one construction path shared by the
+        CLI, the deployment API and callers driving
+        :class:`~repro.serve.engine.ServingEngine` directly.
         """
         config = get_model(model) if isinstance(model, str) else model
         spec = gpu if isinstance(gpu, GPUSpec) else (
@@ -131,34 +130,6 @@ class ExecutionContext:
                 kwargs["cluster"] = make_cluster(spec, plan, link_spec)
         return cls(config=config, engine=resolve_engine(engine),
                    spec=spec, **kwargs)  # type: ignore[arg-type]
-
-    @classmethod
-    def resolve(cls, first: "ExecutionContext | MoEModelConfig | str",
-                engine: MoEEngine | str | None = None,
-                spec: GPUSpec | None = None,
-                flash: bool | None = None) -> "ExecutionContext":
-        """Normalise legacy ``(config, engine, spec)`` tuples.
-
-        Accepts either an existing context (optionally overridden by the
-        explicit arguments) or the positional triple the pre-serving
-        signatures took.
-        """
-        if isinstance(first, ExecutionContext):
-            ctx = first
-            if engine is not None:
-                ctx = ctx.with_engine(engine)
-            if spec is not None:
-                ctx = replace(ctx, spec=spec)
-            if flash is not None and flash != ctx.flash:
-                ctx = replace(ctx, flash=flash)
-            return ctx
-        config = get_model(first) if isinstance(first, str) else first
-        if engine is None:
-            raise ConfigError(
-                "engine is required when no ExecutionContext is given")
-        return cls(config=config, engine=resolve_engine(engine),
-                   spec=spec or DEFAULT_GPU,
-                   flash=True if flash is None else flash)
 
     # ------------------------------------------------------------------
     # Variants

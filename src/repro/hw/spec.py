@@ -113,9 +113,6 @@ class GPUSpec:
 GPU_REGISTRY: Registry[GPUSpec] = Registry("GPU",
                                            error_cls=HardwareModelError)
 
-# Legacy private alias kept for external callers of the old module API.
-_REGISTRY = GPU_REGISTRY
-
 
 def register_gpu(spec: GPUSpec, replace: bool = False) -> GPUSpec:
     """Add ``spec`` to the registry.

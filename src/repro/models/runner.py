@@ -5,9 +5,8 @@ throughput.  Memory feasibility is enforced through the Table-3 footprint
 model, so over-budget (engine, batch) points raise
 :class:`~repro.errors.CapacityError` exactly where the paper prints OOM.
 
-Every entry point accepts either an :class:`~repro.context.ExecutionContext`
-or the legacy ``(config, engine, spec)`` positional triple; the serving
-engine in :mod:`repro.serve` always passes a context.
+Every entry point takes an :class:`~repro.context.ExecutionContext`
+carrying the model, engine, device and flash setting.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ from dataclasses import dataclass
 
 from repro.context import ExecutionContext
 from repro.errors import CapacityError, ConfigError
-from repro.hw.spec import GPUSpec
 from repro.models.decoder import DecoderBreakdown, decoder_cost
-from repro.moe.config import MoEModelConfig
-from repro.moe.layers import ENGINES, MoEEngine
+from repro.moe.layers import ENGINES
 
 
 @dataclass(frozen=True)
@@ -33,13 +30,10 @@ class ModelPoint:
     tokens_per_s: float
 
 
-def model_latency(context: ExecutionContext | MoEModelConfig,
-                  engine: MoEEngine | str | None = None,
-                  spec: GPUSpec | None = None, batch: int = 1,
-                  seq_len: int | None = None, flash: bool | None = None,
+def model_latency(ctx: ExecutionContext, batch: int = 1,
+                  seq_len: int | None = None,
                   check_memory: bool = True) -> DecoderBreakdown:
     """Latency of one decoder layer at (batch, seq)."""
-    ctx = ExecutionContext.resolve(context, engine, spec, flash)
     seq = min(seq_len or ctx.config.max_seq_len, ctx.config.max_seq_len)
     if check_memory:
         # Per-device footprint under the context's parallel plan.
@@ -49,13 +43,10 @@ def model_latency(context: ExecutionContext | MoEModelConfig,
                         parallel=ctx.parallel, cluster=ctx.cluster)
 
 
-def model_point(context: ExecutionContext | MoEModelConfig,
-                engine: MoEEngine | str | None = None,
-                spec: GPUSpec | None = None, batch: int = 1,
-                seq_len: int | None = None, flash: bool | None = None,
+def model_point(ctx: ExecutionContext, batch: int = 1,
+                seq_len: int | None = None,
                 check_memory: bool = True) -> ModelPoint:
     """Latency + throughput of one configuration."""
-    ctx = ExecutionContext.resolve(context, engine, spec, flash)
     breakdown = model_latency(ctx, batch=batch, seq_len=seq_len,
                               check_memory=check_memory)
     seq = min(seq_len or ctx.config.max_seq_len, ctx.config.max_seq_len)
@@ -65,42 +56,36 @@ def model_point(context: ExecutionContext | MoEModelConfig,
                       tokens_per_s=tokens / breakdown.total_s)
 
 
-def throughput_sweep(context: ExecutionContext | MoEModelConfig,
-                     spec: GPUSpec | None = None,
+def throughput_sweep(ctx: ExecutionContext,
                      batches: list[int] | None = None,
                      seq_len: int | None = None,
                      engines: list[str] | None = None
                      ) -> dict[str, list[ModelPoint | None]]:
     """Figure 16: throughput vs batch size; ``None`` marks OOM / NS.
 
-    With an :class:`ExecutionContext` first argument the sweep keeps the
-    context's device and flash setting and still compares every engine
-    (pass ``engines`` to narrow it); the context's own engine is only the
-    default when ``engines`` is a one-element list elsewhere.
+    The sweep keeps the context's model, device and flash setting and
+    compares every engine (pass ``engines`` to narrow it); the
+    context's own engine is not consulted.
     """
-    if isinstance(context, ExecutionContext):
-        base = context
-    else:
-        base = ExecutionContext.resolve(context, "transformers", spec)
     if batches is None:
         raise ConfigError("throughput_sweep requires explicit batches")
-    seq = seq_len if seq_len is not None else base.config.max_seq_len
+    seq = seq_len if seq_len is not None else ctx.config.max_seq_len
     engines = engines or list(ENGINES)
     out: dict[str, list[ModelPoint | None]] = {}
     for name in engines:
-        ctx = base.with_engine(name)
+        engine_ctx = ctx.with_engine(name)
         series: list[ModelPoint | None] = []
         for batch in batches:
             try:
-                series.append(model_point(ctx, batch=batch, seq_len=seq))
+                series.append(model_point(engine_ctx, batch=batch,
+                                          seq_len=seq))
             except (CapacityError, ConfigError):
                 series.append(None)
         out[name] = series
     return out
 
 
-def end_to_end_speedups(context: ExecutionContext | MoEModelConfig,
-                        spec: GPUSpec | None = None,
+def end_to_end_speedups(ctx: ExecutionContext,
                         batch: int = 1, seq_len: int | None = None,
                         baseline: str = "transformers"
                         ) -> dict[str, float | None]:
@@ -109,12 +94,10 @@ def end_to_end_speedups(context: ExecutionContext | MoEModelConfig,
     ``None`` marks NS/OOM entries, mirroring the paper's markers.  The
     default sequence length is the model's positional limit
     (``config.max_seq_len``), matching §6.3's protocol of measuring each
-    model at its own maximum context.
+    model at its own maximum context.  The context supplies the model,
+    device and flash setting; its own engine is not consulted.
     """
-    if isinstance(context, ExecutionContext):
-        base_ctx = context.with_engine(baseline)
-    else:
-        base_ctx = ExecutionContext.resolve(context, baseline, spec)
+    base_ctx = ctx.with_engine(baseline)
     config = base_ctx.config
     seq = min(seq_len or config.max_seq_len, config.max_seq_len)
     try:

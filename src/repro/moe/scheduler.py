@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.hw.interconnect import ACT_BYTES, ClusterSpec, make_cluster
+from repro.hw.interconnect import ACT_BYTES, ClusterSpec
 from repro.hw.spec import GPUSpec
 from repro.kernels.ssmm_samoyeds import SamoyedsKernel
 from repro.moe.config import MoEModelConfig
@@ -114,29 +114,15 @@ def segment_seconds_from_loads(config: MoEModelConfig,
     return out.tolist()
 
 
-def expert_segment_seconds(config: "MoEModelConfig | ExecutionContext",
-                           plan: RoutingPlan,
-                           spec: GPUSpec | None = None,
-                           kernel: SamoyedsKernel | None = None,
-                           tile_n: int | None = None) -> list[float]:
+def expert_segment_seconds(ctx: "ExecutionContext",
+                           plan: RoutingPlan) -> list[float]:
     """Per-expert SSMM-triple time under the actual routed loads.
 
-    Accepts either the legacy ``(config, plan, spec, kernel)`` arguments
-    or an :class:`~repro.context.ExecutionContext` first argument that
-    supplies device, kernel and tile choices.
+    The context supplies the model, device, segment kernel and tile size.
     """
-    from repro.context import ExecutionContext
-    if isinstance(config, ExecutionContext):
-        ctx = config
-        spec = spec or ctx.spec
-        kernel = kernel or ctx.segment_kernel()
-        tile_n = ctx.effective_tile_n if tile_n is None else tile_n
-        config = ctx.config
-    if spec is None or kernel is None:
-        raise ConfigError(
-            "spec and kernel are required without an ExecutionContext")
-    return segment_seconds_from_loads(config, plan.load(), spec, kernel,
-                                      64 if tile_n is None else tile_n)
+    return segment_seconds_from_loads(ctx.config, plan.load(), ctx.spec,
+                                      ctx.segment_kernel(),
+                                      ctx.effective_tile_n)
 
 
 def schedule_sequential(segments: list[float]) -> ScheduleResult:
@@ -183,35 +169,20 @@ def schedule_fused(config: MoEModelConfig, plan: RoutingPlan,
                           segment_seconds=(total_s,))
 
 
-def compare_policies(config: "MoEModelConfig | ExecutionContext",
-                     plan: RoutingPlan,
-                     spec: GPUSpec | None = None,
-                     kernel: SamoyedsKernel | None = None,
-                     streams: int | None = None,
-                     tile_n: int | None = None) -> dict[str, ScheduleResult]:
+def compare_policies(ctx: "ExecutionContext",
+                     plan: RoutingPlan) -> dict[str, ScheduleResult]:
     """All three policies on one routed workload.
 
-    The first argument may be an :class:`~repro.context.ExecutionContext`
-    supplying device, kernel, stream count and tile size.
+    The context supplies the model, device, segment kernel, stream count
+    and tile size.
     """
-    from repro.context import ExecutionContext
-    if isinstance(config, ExecutionContext):
-        ctx = config
-        spec = spec or ctx.spec
-        kernel = kernel or ctx.segment_kernel()
-        streams = streams if streams is not None else ctx.streams
-        tile_n = ctx.effective_tile_n if tile_n is None else tile_n
-        config = ctx.config
-    if spec is None:
-        raise ConfigError("spec is required without an ExecutionContext")
-    kernel = kernel or SamoyedsKernel()
-    streams = 4 if streams is None else streams
-    tile_n = 64 if tile_n is None else tile_n
-    segments_s = expert_segment_seconds(config, plan, spec, kernel,
-                                        tile_n)
+    config, spec = ctx.config, ctx.spec
+    kernel, tile_n = ctx.segment_kernel(), ctx.effective_tile_n
+    segments_s = segment_seconds_from_loads(config, plan.load(), spec,
+                                            kernel, tile_n)
     return {
         "sequential": schedule_sequential(segments_s),
-        "parallel": schedule_parallel(segments_s, streams),
+        "parallel": schedule_parallel(segments_s, ctx.streams),
         "fused": schedule_fused(config, plan, spec, kernel, tile_n),
     }
 
@@ -380,57 +351,30 @@ def dispatch_combine_seconds(config: MoEModelConfig, routed_tokens: int,
     return 2.0 * cluster.alltoall_seconds(per_device, ep)
 
 
-def schedule_expert_parallel(config: "MoEModelConfig | ExecutionContext",
-                             plan: RoutingPlan,
-                             ep: int | None = None,
-                             spec: GPUSpec | None = None,
-                             kernel: SamoyedsKernel | None = None,
-                             streams: int | None = None,
-                             tile_n: int | None = None,
-                             tp: int | None = None,
-                             cluster: ClusterSpec | None = None,
+def schedule_expert_parallel(ctx: "ExecutionContext", plan: RoutingPlan,
                              policy: str = "balanced",
                              placement: ExpertPlacement | None = None
                              ) -> ExpertParallelResult:
     """Price one MoE layer step over an expert-parallel device group.
 
-    The first argument may be an :class:`~repro.context.ExecutionContext`
-    supplying device, kernel, stream count, tile size and the parallel
-    plan/topology; explicit arguments override.  The routing ``plan``
-    doubles as the placement profile when ``policy='balanced'``.
+    The context supplies the model, device, segment kernel, stream
+    count, tile size and the parallel plan and topology.  The routing
+    ``plan`` doubles as the placement profile when
+    ``policy='balanced'``.
     """
-    from repro.context import ExecutionContext
-    if isinstance(config, ExecutionContext):
-        ctx = config
-        spec = spec or ctx.spec
-        kernel = kernel or ctx.segment_kernel()
-        streams = streams if streams is not None else ctx.streams
-        tile_n = ctx.effective_tile_n if tile_n is None else tile_n
-        ep = ctx.parallel.ep if ep is None else ep
-        tp = ctx.parallel.tp if tp is None else tp
-        cluster = cluster or ctx.cluster_spec
-        config = ctx.config
-    if spec is None:
-        raise ConfigError("spec is required without an ExecutionContext")
-    kernel = kernel or SamoyedsKernel()
-    streams = 1 if streams is None else streams
-    tile_n = 64 if tile_n is None else tile_n
-    ep = 1 if ep is None else ep
-    tp = 1 if tp is None else tp
+    config, ep, tp = ctx.config, ctx.parallel.ep, ctx.parallel.tp
     loads = plan.load()
     if placement is None:
         placement = place_experts(config.num_experts, ep, policy=policy,
                                   profile=[float(x) for x in loads])
     elif placement.ep != ep or placement.num_experts != config.num_experts:
         raise ConfigError("placement does not match ep/num_experts")
-    if cluster is None:
-        from repro.hw.interconnect import ParallelPlan
-        cluster = make_cluster(spec, ParallelPlan(ep=ep, tp=tp))
-    segments_s = segment_seconds_from_loads(config, loads, spec,
-                                            kernel, tile_n, tp=tp)
-    per_device = device_makespans(segments_s, placement, streams)
-    comm_s = dispatch_combine_seconds(config, int(sum(loads)), cluster,
-                                      ep)
-    return ExpertParallelResult(placement=placement, streams=streams,
+    segments_s = segment_seconds_from_loads(config, loads, ctx.spec,
+                                            ctx.segment_kernel(),
+                                            ctx.effective_tile_n, tp=tp)
+    per_device = device_makespans(segments_s, placement, ctx.streams)
+    comm_s = dispatch_combine_seconds(config, int(sum(loads)),
+                                      ctx.cluster_spec, ep)
+    return ExpertParallelResult(placement=placement, streams=ctx.streams,
                                 per_device_s=tuple(per_device),
                                 alltoall_s=comm_s)

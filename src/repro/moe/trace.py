@@ -37,8 +37,9 @@ def validate_skew(skew: float) -> float:
     """
     if not isinstance(skew, (int, float)) or isinstance(skew, bool):
         raise RoutingError(f"skew must be a number, got {skew!r}")
-    if skew < 0:
-        raise RoutingError("skew must be non-negative")
+    if not 0 <= skew < math.inf:
+        raise RoutingError(f"skew must be finite and non-negative, "
+                           f"got {skew!r}")
     return float(skew)
 
 

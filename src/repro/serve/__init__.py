@@ -48,7 +48,7 @@ from repro.serve.batcher import (
     StepPlan,
     make_batcher,
 )
-from repro.serve.engine import ServingEngine, simulate
+from repro.serve.engine import ServingEngine
 from repro.serve.metrics import (
     PercentileSummary,
     ServeReport,
@@ -86,7 +86,6 @@ __all__ = [
     "StaticBatcher",
     "StepPlan",
     "ServingEngine",
-    "simulate",
     "PercentileSummary",
     "ServeReport",
     "percentile",

@@ -10,7 +10,6 @@ serving") for the full model.
 from repro.serve.disagg.engine import DisaggServingEngine
 from repro.serve.disagg.pools import (
     POOL_ROLES,
-    DisaggCluster,
     PoolSpec,
     validate_pools,
 )
@@ -24,7 +23,6 @@ from repro.serve.disagg.routers import (
 )
 
 __all__ = [
-    "DisaggCluster",
     "DisaggServingEngine",
     "PHASES",
     "POOL_ROLES",

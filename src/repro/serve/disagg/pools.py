@@ -1,8 +1,8 @@
 """Pool model for disaggregated prefill/decode serving.
 
 A :class:`PoolSpec` names one GPU pool and the phase(s) it serves;
-a :class:`DisaggCluster` validates a set of pools and carries their
-inter-pool link.  Each pool runs its own engine selection,
+:func:`validate_pools` checks the cross-pool invariants of a set of
+them.  Each pool runs its own engine selection,
 :class:`~repro.hw.interconnect.ParallelPlan`, batcher and memory
 ledger (a :class:`~repro.serve.engine.Pool` at serving time); finished
 prompts migrate from a prefill-role pool to a decode-role pool over
@@ -22,12 +22,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigError
-from repro.hw.interconnect import (
-    LinkSpec,
-    ParallelPlan,
-    get_link,
-    parse_parallel,
-)
+from repro.hw.interconnect import ParallelPlan, parse_parallel
 from repro.hw.spec import get_gpu
 from repro.moe.layers import ENGINES
 from repro.serve.batcher import BATCHER_NAMES
@@ -172,45 +167,3 @@ def validate_pools(pools: Sequence[PoolSpec | Pool]) -> None:
         raise ConfigError(
             "pools: no decode-capable pool (need role=decode or "
             "role=both)")
-
-
-@dataclass(frozen=True)
-class DisaggCluster:
-    """A validated set of pools plus their inter-pool transfer link
-    (the hop KV blocks cross on migration)."""
-
-    pools: tuple[PoolSpec, ...]
-    link: LinkSpec
-
-    def __post_init__(self) -> None:
-        validate_pools(self.pools)
-
-    @classmethod
-    def build(cls, pools: Sequence[PoolSpec],
-              link: "LinkSpec | str" = "pcie4") -> "DisaggCluster":
-        """Construct from pool specs and a link (name or spec)."""
-        link_spec = get_link(link) if isinstance(link, str) else link
-        return cls(pools=tuple(pools), link=link_spec)
-
-    @property
-    def is_degenerate(self) -> bool:
-        """A single pool serving both phases — the colocated limit.
-
-        Degenerate clusters never route or schedule a KV transfer; the
-        deployment layer serves them through the colocated engine so
-        their reports stay byte-identical to a pool-free deployment.
-        """
-        return len(self.pools) == 1 and self.pools[0].role == "both"
-
-    @property
-    def prefill_pools(self) -> tuple[PoolSpec, ...]:
-        """Prefill-capable pools in stable name order (the router's
-        deterministic tie-break domain)."""
-        return tuple(sorted((p for p in self.pools if p.serves_prefill),
-                            key=lambda p: p.name))
-
-    @property
-    def decode_pools(self) -> tuple[PoolSpec, ...]:
-        """Decode-capable pools in stable name order."""
-        return tuple(sorted((p for p in self.pools if p.serves_decode),
-                            key=lambda p: p.name))

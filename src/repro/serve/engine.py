@@ -80,7 +80,7 @@ from repro.analysis.sanitizer import (
     sanitize_enabled,
     wrap_ledger,
 )
-from repro.hw.interconnect import LinkSpec, ParallelPlan
+from repro.hw.interconnect import LinkSpec
 from repro.moe.memory_model import (
     BlockAllocator,
     DeviceLedgers,
@@ -957,107 +957,3 @@ class ServingEngine:
                          cluster=self.pool.cluster_report(),
                          auto=served.auto, tenants=self.tenants or None,
                          all_records=served.records)
-
-
-#: ``simulate`` context-construction arguments and their signature
-#: defaults: a prebuilt ExecutionContext already carries all of these.
-_CTX_ARG_DEFAULTS = (("engine", "samoyeds"), ("gpu", "rtx4070s"),
-                     ("streams", 1), ("flash", True),
-                     ("parallel", None), ("link", None))
-
-
-def _conflicting_ctx_args(ctx: ExecutionContext,
-                          passed: dict[str, object]) -> list[str]:
-    """Context-construction arguments that contradict a prebuilt ctx.
-
-    An argument equal to its signature default is indistinguishable
-    from an omitted one and is never flagged; one that matches what
-    the context already carries is redundant but harmless.  Only a
-    value that differs from *both* is a genuine contradiction.  A
-    ``link`` on a single-device context is inert (no collectives are
-    ever priced), so it is never flagged either — flagging it against
-    the derived-default topology would reject a link the run never
-    uses.
-    """
-    carried: dict[str, object] = {
-        "engine": ctx.engine.name,
-        "gpu": ctx.spec.name,
-        "streams": ctx.streams,
-        "flash": ctx.flash,
-    }
-    conflicts = []
-    for name, default in _CTX_ARG_DEFAULTS:
-        value = passed[name]
-        if value == default:
-            continue
-        if name == "parallel":
-            agrees = ParallelPlan.from_any(value) == ctx.parallel
-        elif name == "link":
-            link_name = (value.name if isinstance(value, LinkSpec)
-                         else value)
-            agrees = (ctx.parallel.is_trivial
-                      or link_name == ctx.cluster_spec.link.name)
-        else:
-            agrees = value == carried[name]
-        if not agrees:
-            conflicts.append(name)
-    return conflicts
-
-
-def simulate(model: str | ExecutionContext, engine: str = "samoyeds",
-             gpu: str = "rtx4070s", *, trace: Sequence[Request],
-             batcher: Batcher | None = None, num_layers: int | None = None,
-             streams: int = 1, flash: bool = True,
-             routing_skew: float = 0.0, seed: int | None = None,
-             page_size: int | None = None,
-             parallel: "str | ParallelPlan | None" = None,
-             link: "str | LinkSpec | None" = None,
-             horizon_s: float | None = None,
-             placement_policy: str = "balanced",
-             sanitize: bool | None = None) -> ServeReport:
-    """One-call serving simulation from registry names.
-
-    This is the legacy kwargs front door; new code should prefer the
-    declarative :class:`repro.api.DeploymentSpec` /
-    :class:`repro.api.Deployment` surface, of which this is now a thin
-    shim.  ``model`` may also be a prebuilt :class:`ExecutionContext`
-    — the context then already carries engine, device, streams, flash,
-    plan and topology, so combining it with
-    ``engine``/``gpu``/``streams``/``flash``/``parallel``/``link``
-    arguments that *contradict* it raises
-    :class:`~repro.errors.ConfigError` (they used to be silently
-    ignored); redundant arguments that agree with the context — or
-    that equal the signature defaults, which is indistinguishable from
-    omitting them — stay accepted.  A positive ``page_size`` switches admission
-    to the paged :class:`~repro.moe.memory_model.BlockAllocator` (with
-    preemption); ``None`` keeps the conservative whole-request
-    reservation.  ``parallel`` takes the ``ep=4,tp=2`` syntax and
-    shards the server over a homogeneous cluster of ``gpu`` copies
-    joined by ``link``; ``horizon_s`` cuts serving off at that clock
-    (the report stays well-formed even when nothing completed).
-    ``sanitize=True`` (or ``REPRO_SANITIZE=1``) runs under the
-    sim-sanitizer's runtime invariant checks; the report is
-    byte-identical to an unsanitized run.
-    """
-    if isinstance(model, ExecutionContext):
-        conflicts = _conflicting_ctx_args(
-            model, {"engine": engine, "gpu": gpu, "streams": streams,
-                    "flash": flash, "parallel": parallel, "link": link})
-        if conflicts:
-            raise ConfigError(
-                f"simulate() got a prebuilt ExecutionContext together "
-                f"with contradicting {', '.join(conflicts)}; the "
-                f"context already fixes those — configure the context "
-                f"(or use repro.api.DeploymentSpec) instead")
-        ctx = model
-    else:
-        ctx = ExecutionContext.create(model, engine, gpu, streams=streams,
-                                      flash=flash, parallel=parallel,
-                                      link=link)
-    server = ServingEngine(ctx=ctx, batcher=batcher or ContinuousBatcher(),
-                           num_layers=num_layers,
-                           routing_skew=routing_skew, seed=seed,
-                           page_size=page_size, horizon_s=horizon_s,
-                           placement_policy=placement_policy,
-                           sanitize=sanitize)
-    return server.run(trace)

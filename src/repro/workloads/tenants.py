@@ -12,6 +12,7 @@ trace has byte-identical arrival times to its untenanted twin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
@@ -98,6 +99,9 @@ class TenantSpec:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(
                 f"{field_name}: must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"{field_name}: must be finite, got {value!r}")
         if value <= 0:
             raise ConfigError(f"{field_name}: must be > 0")
 

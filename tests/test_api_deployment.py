@@ -1,11 +1,11 @@
-"""Golden equivalence: spec-driven runs vs the legacy kwarg paths.
+"""Golden equivalence: spec-driven runs vs directly built engines.
 
 The acceptance contract of the declarative API: a default-shaped
 ``Deployment.run()`` report is *byte-identical* (via ``to_dict()``)
-to the pre-refactor ``simulate()`` call with the equivalent kwargs —
-for plain serving, paged admission, and an ep=4,tp=2 cluster grid —
-and a ``sweep:`` grid expands to the same points as
-``repro bench scale``.
+to a hand-built ``ServingEngine`` over the equivalent
+``ExecutionContext`` — for plain serving, paged admission, and an
+ep=4,tp=2 cluster grid — and a ``sweep:`` grid expands to the same
+points as ``repro bench scale``.
 """
 
 import json
@@ -14,13 +14,14 @@ import os
 import pytest
 
 from repro.api import Deployment, DeploymentSpec, load_sweep
+from repro.context import ExecutionContext
 from repro.errors import ConfigError
 from repro.serve import (
     ChunkedPrefillBatcher,
     PercentileSummary,
     ServeReport,
+    ServingEngine,
     poisson_trace,
-    simulate,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..",
@@ -29,19 +30,18 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..",
 
 class TestGoldenEquivalence:
     def test_serve_default_config_matches_legacy_simulate(self):
-        """The shipped serve_default.yaml IS its legacy call."""
+        """The shipped serve_default.yaml IS its hand-built engine."""
         spec = Deployment.from_file(
             os.path.join(CONFIG_DIR, "serve_default.yaml")).spec
         report = Deployment(spec).run()
         w = spec.workload
-        legacy = simulate(
-            "mixtral-8x7b", "samoyeds", "rtx4070s",
-            trace=poisson_trace(w.requests, w.qps,
-                                prompt_tokens=w.prompt_tokens,
-                                output_tokens=w.output_tokens,
-                                seed=w.seed),
-            num_layers=4, seed=w.seed)
-        assert report.to_dict() == legacy.to_dict()
+        ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds",
+                                      "rtx4070s")
+        direct = ServingEngine(ctx=ctx, num_layers=4, seed=w.seed).run(
+            poisson_trace(w.requests, w.qps,
+                          prompt_tokens=w.prompt_tokens,
+                          output_tokens=w.output_tokens, seed=w.seed))
+        assert report.to_dict() == direct.to_dict()
 
     def test_paged_run_matches_legacy(self):
         spec = DeploymentSpec.from_dict({
@@ -52,12 +52,12 @@ class TestGoldenEquivalence:
                          "prompt_tokens": 256, "output_tokens": 6,
                          "eos_sampling": True, "seed": 11}})
         report = Deployment(spec).run()
-        legacy = simulate(
-            "mixtral-8x7b",
-            trace=Deployment(spec).build_trace(),
+        direct = ServingEngine(
+            ctx=ExecutionContext.create("mixtral-8x7b"),
             batcher=ChunkedPrefillBatcher(token_budget=512),
-            num_layers=2, seed=11, page_size=16)
-        assert report.to_dict() == legacy.to_dict()
+            num_layers=2, seed=11, page_size=16).run(
+                Deployment(spec).build_trace())
+        assert report.to_dict() == direct.to_dict()
 
     def test_cluster_ep4_tp2_matches_legacy(self):
         spec = DeploymentSpec.from_dict({
@@ -67,18 +67,18 @@ class TestGoldenEquivalence:
                          "prompt_tokens": 128, "output_tokens": 4,
                          "seed": 5}})
         report = Deployment(spec).run()
-        legacy = simulate(
-            "mixtral-8x7b",
-            trace=Deployment(spec).build_trace(),
-            parallel="ep=4,tp=2", link="pcie4",
-            num_layers=2, seed=5)
-        assert report.to_dict() == legacy.to_dict()
+        ctx = ExecutionContext.create("mixtral-8x7b",
+                                      parallel="ep=4,tp=2", link="pcie4")
+        direct = ServingEngine(ctx=ctx, num_layers=2, seed=5).run(
+            Deployment(spec).build_trace())
+        assert report.to_dict() == direct.to_dict()
         assert report.cluster["parallel"]["ep"] == 4
         assert report.cluster["parallel"]["tp"] == 2
 
     def test_sweep_points_match_scale_strong_series(self):
-        """cluster_sweep.yaml's ep=1,2,4 points equal the simulate()
-        calls `repro bench scale --devices 1,2,4` makes."""
+        """cluster_sweep.yaml's ep=1,2,4 points equal engines built
+        directly for the points `repro bench scale --devices 1,2,4`
+        runs."""
         _, points = load_sweep(
             os.path.join(CONFIG_DIR, "cluster_sweep.yaml"))
         by_plan = {p.spec.hardware.parallel.describe(): p.spec
@@ -87,15 +87,17 @@ class TestGoldenEquivalence:
             spec = by_plan[f"ep={devices},tp=1,dp=1"]
             w = spec.workload
             report = Deployment(spec).run()
-            legacy = simulate(
+            ctx = ExecutionContext.create(
                 spec.model.name, spec.model.engine, spec.hardware.gpu,
-                trace=poisson_trace(w.requests, w.qps,
-                                    prompt_tokens=w.prompt_tokens,
-                                    output_tokens=w.output_tokens,
-                                    seed=w.seed),
-                parallel=f"ep={devices}", link=spec.hardware.link,
-                num_layers=spec.model.num_layers, seed=w.seed)
-            assert report.to_dict() == legacy.to_dict(), devices
+                parallel=f"ep={devices}", link=spec.hardware.link)
+            direct = ServingEngine(
+                ctx=ctx, num_layers=spec.model.num_layers,
+                seed=w.seed).run(
+                    poisson_trace(w.requests, w.qps,
+                                  prompt_tokens=w.prompt_tokens,
+                                  output_tokens=w.output_tokens,
+                                  seed=w.seed))
+            assert report.to_dict() == direct.to_dict(), devices
 
 
 class TestTypedReport:
@@ -107,8 +109,9 @@ class TestTypedReport:
         report = Deployment(spec).run()
         assert isinstance(report, ServeReport)
         assert isinstance(report.ttft_s, PercentileSummary)
-        assert report.ttft_s.p50 == report.ttft_s["p50"]
-        assert dict(report.ttft_s) == report.ttft_s.to_dict()
+        assert report.ttft_s.p50 == report.ttft_s.to_dict()["p50"]
+        assert list(report.ttft_s.to_dict()) == [
+            "p50", "p90", "p99", "mean", "max"]
 
     def test_report_round_trips_through_json(self):
         spec = DeploymentSpec.from_dict({
@@ -160,23 +163,6 @@ class TestDeploymentRun:
     def test_from_file_missing(self):
         with pytest.raises(ConfigError):
             Deployment.from_file("/nonexistent/cfg.yaml")
-
-
-class TestPercentileSummaryMappingProtocol:
-    """Legacy call sites treated the blocks as dicts; the typed
-    summary keeps the whole read-only mapping surface working."""
-
-    def test_iteration_membership_and_accessors(self):
-        s = PercentileSummary(p50=1.0, p90=2.0, p99=3.0, mean=1.5,
-                              max=3.0)
-        assert list(s) == ["p50", "p90", "p99", "mean", "max"]
-        assert len(s) == 5
-        assert "p99" in s and "p75" not in s
-        assert s.get("p99") == 3.0
-        assert s.get("p75", 0.0) == 0.0
-        assert dict(s.items()) == s.to_dict()
-        assert list(s.values()) == [1.0, 2.0, 3.0, 1.5, 3.0]
-        assert dict(s) == s.to_dict()
 
 
 class TestEmptyYamlSections:

@@ -43,6 +43,28 @@ class TestDefaults:
         assert spec.model.engine == "vllm-ds"
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+#: NaN and infinity slip past ``value <= 0``-style checks; every float
+#: field must reject them with its path.
+_NON_FINITE = [
+    *[pytest.param({section: {name: value}}, f"{section}.{name}",
+                   id=f"{section}.{name}={value}")
+      for section, name, value in (
+          ("serving", "horizon_s", _NAN), ("serving", "horizon_s", _INF),
+          ("workload", "qps", _NAN), ("workload", "qps", _INF),
+          ("workload", "routing_skew", _NAN),
+          ("workload", "crowd_start_s", _NAN))],
+    *[pytest.param({"workload": {"tenants": [{"name": "a", name: value}]}},
+                   rf"workload.tenants\[0\].{name}",
+                   id=f"workload.tenants[0].{name}={value}")
+      for name, value in (
+          ("token_rate_limit", _NAN), ("share", _NAN), ("share", _INF),
+          ("ttft_slo_s", _NAN), ("ttft_slo_s", _INF),
+          ("tpot_slo_s", _NAN), ("tpot_slo_s", _INF))],
+]
+
+
 class TestPathQualifiedValidation:
     """Every invalid field names its full ``section.field`` path."""
 
@@ -103,6 +125,11 @@ class TestPathQualifiedValidation:
     @pytest.mark.parametrize("payload,path", CASES,
                              ids=[p for _, p in CASES])
     def test_invalid_field_names_its_path(self, payload, path):
+        with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+            DeploymentSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("payload,path", _NON_FINITE)
+    def test_non_finite_value_rejected(self, payload, path):
         with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
             DeploymentSpec.from_dict(payload)
 

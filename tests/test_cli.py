@@ -73,6 +73,24 @@ class TestCommands:
             in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["serve", "run", "scale", "sim"])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path,
+                                          command):
+        if command == "run":
+            config = tmp_path / "neg_seed.yaml"
+            config.write_text("model: {num_layers: 1}\n"
+                              "workload: {requests: 4, seed: -3}\n")
+            argv = ["run", str(config)]
+        else:
+            argv = [command, "--seed", "-1"]
+            if command == "sim":
+                argv += ["--quick",
+                         "--output", str(tmp_path / "sim.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"repro bench {command}: " in err
+        assert "must be >= 0" in err
+
     def test_experiments_single(self, capsys):
         assert main(["experiments", "fig11"]) == 0
         assert "Figure 11b" in capsys.readouterr().out

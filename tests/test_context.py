@@ -7,7 +7,7 @@ from repro.errors import ConfigError
 from repro.hw import get_gpu
 from repro.moe import MODEL_REGISTRY
 from repro.moe.layers import ENGINES, SamoyedsEngine
-from repro.models.runner import model_latency, model_point
+from repro.models.runner import model_point
 
 CFG = MODEL_REGISTRY["mixtral-8x7b"]
 
@@ -40,26 +40,6 @@ class TestConstruction:
             ExecutionContext.create(CFG, "samoyeds", spec, streams=0)
         with pytest.raises(ConfigError):
             ExecutionContext.create(CFG, "samoyeds", spec, tile_n=-1)
-
-
-class TestResolve:
-    def test_legacy_triple(self, spec):
-        ctx = ExecutionContext.resolve(CFG, "samoyeds", spec)
-        assert ctx.engine.name == "samoyeds" and ctx.spec is spec
-
-    def test_context_passthrough(self, spec):
-        base = ExecutionContext.create(CFG, "samoyeds", spec)
-        assert ExecutionContext.resolve(base) is base
-
-    def test_context_with_overrides(self, spec, a100):
-        base = ExecutionContext.create(CFG, "samoyeds", spec)
-        ctx = ExecutionContext.resolve(base, "pit", a100, flash=False)
-        assert ctx.engine.name == "pit"
-        assert ctx.spec is a100 and not ctx.flash
-
-    def test_missing_engine_rejected(self, spec):
-        with pytest.raises(ConfigError):
-            ExecutionContext.resolve(CFG, None, spec)
 
 
 class TestDerived:
@@ -97,13 +77,6 @@ class TestDerived:
 
 
 class TestRunnerIntegration:
-    def test_model_latency_ctx_equals_legacy(self, a100):
-        ctx = ExecutionContext.create(CFG, "samoyeds", a100)
-        via_ctx = model_latency(ctx, batch=2, seq_len=1024)
-        legacy = model_latency(CFG, "samoyeds", a100, batch=2,
-                               seq_len=1024)
-        assert via_ctx == legacy
-
     def test_model_point_ctx(self, a100):
         ctx = ExecutionContext.create(CFG, "vllm-ds", a100)
         point = model_point(ctx, batch=1, seq_len=512)

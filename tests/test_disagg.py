@@ -27,7 +27,6 @@ from repro.analysis.sanitizer import KVTransferAuditor, SanitizerError
 from repro.api import Deployment, DeploymentSpec
 from repro.errors import CapacityError, ConfigError
 from repro.serve.disagg import (
-    DisaggCluster,
     DisaggServingEngine,
     PoolSpec,
     make_router,
@@ -366,14 +365,6 @@ class TestPoolValidation:
             validate_pools([PoolSpec(name="a", role="prefill")])
         with pytest.raises(ConfigError, match="prefill-capable"):
             validate_pools([PoolSpec(name="a", role="decode")])
-
-    def test_cluster_orders_phase_pools_by_name(self):
-        cluster = DisaggCluster.build([
-            PoolSpec(name="z", role="prefill"),
-            PoolSpec(name="a", role="prefill"),
-            PoolSpec(name="m", role="decode")])
-        assert [p.name for p in cluster.prefill_pools] == ["a", "z"]
-        assert not cluster.is_degenerate
 
     def test_spec_errors_carry_config_paths(self):
         with pytest.raises(ConfigError, match=r"serving\.pools\[1\]\.role"):

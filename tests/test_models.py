@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.context import ExecutionContext
 from repro.errors import CapacityError, ConfigError
 from repro.models import (
     attention_cost,
@@ -70,42 +71,46 @@ class TestDecoder:
 class TestRunner:
     def test_latency_respects_max_seq(self, spec):
         cfg = MODEL_REGISTRY["openmoe-34b"]
-        bd = model_latency(cfg, "samoyeds", spec, seq_len=4096,
-                           check_memory=False)
+        bd = model_latency(ExecutionContext.create(cfg, "samoyeds", spec),
+                           seq_len=4096, check_memory=False)
         # OpenMoE caps at 2048; the runner must clamp.
         assert bd.total_s < model_latency(
-            CFG, "samoyeds", spec, seq_len=4096,
+            ExecutionContext.create(CFG, "samoyeds", spec), seq_len=4096,
             check_memory=False).total_s * 10
 
     def test_memory_check_raises(self, spec):
         cfg = MODEL_REGISTRY["mixtral-8x22b"]
+        ctx = ExecutionContext.create(cfg, "megablocks", spec)
         with pytest.raises(CapacityError):
-            model_latency(cfg, "megablocks", spec, batch=1, seq_len=1024)
+            model_latency(ctx, batch=1, seq_len=1024)
 
     def test_unknown_engine_rejected(self, spec):
         with pytest.raises(ConfigError):
-            model_latency(CFG, "tensorrt", spec)
+            ExecutionContext.create(CFG, "tensorrt", spec)
 
     def test_model_point_throughput(self, spec):
-        point = model_point(CFG, "samoyeds", spec, batch=1, seq_len=1024)
+        point = model_point(ExecutionContext.create(CFG, "samoyeds", spec),
+                            batch=1, seq_len=1024)
         assert point.tokens_per_s == pytest.approx(
             1024 / point.latency_s)
 
     def test_throughput_sweep_marks_ooms(self, spec):
         cfg = MODEL_REGISTRY["mixtral-8x22b"]
-        sweep = throughput_sweep(cfg, spec, [1, 512], 1024,
+        sweep = throughput_sweep(ExecutionContext.create(cfg, gpu=spec),
+                                 [1, 512], 1024,
                                  engines=["transformers", "samoyeds"])
         assert sweep["transformers"][1] is None   # 512 batches: OOM
         assert sweep["samoyeds"][0] is not None
 
     def test_end_to_end_speedups_shape(self, spec):
-        speed = end_to_end_speedups(CFG, spec, batch=1, seq_len=2048)
+        speed = end_to_end_speedups(ExecutionContext.create(CFG, gpu=spec),
+                                    batch=1, seq_len=2048)
         assert speed["transformers"] == 1.0
         assert speed["samoyeds"] > 1.0
 
     def test_openmoe_ns_markers(self, spec):
-        cfg = MODEL_REGISTRY["openmoe-34b"]
-        speed = end_to_end_speedups(cfg, spec, batch=1, seq_len=2048)
+        ctx = ExecutionContext.create("openmoe-34b", gpu=spec)
+        speed = end_to_end_speedups(ctx, batch=1, seq_len=2048)
         assert speed["megablocks"] is None
         assert speed["vllm-ds"] is None
         assert speed["samoyeds"] is not None
@@ -113,11 +118,12 @@ class TestRunner:
     def test_default_seq_is_model_max(self, spec):
         """No hard-coded 4096: the default comes from config.max_seq_len."""
         cfg = MODEL_REGISTRY["openmoe-34b"]        # max_seq_len = 2048
-        default = end_to_end_speedups(cfg, spec, batch=1)
-        explicit = end_to_end_speedups(cfg, spec, batch=1,
+        ctx = ExecutionContext.create(cfg, gpu=spec)
+        default = end_to_end_speedups(ctx, batch=1)
+        explicit = end_to_end_speedups(ctx, batch=1,
                                        seq_len=cfg.max_seq_len)
         assert default == explicit
-        shorter = end_to_end_speedups(cfg, spec, batch=1, seq_len=1024)
+        shorter = end_to_end_speedups(ctx, batch=1, seq_len=1024)
         assert default != shorter
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.context import ExecutionContext
 from repro.errors import ConfigError
 from repro.moe import MODEL_REGISTRY
 from repro.moe.scheduler import (
@@ -22,18 +23,20 @@ def plan():
                        seed=31)
 
 
+def _ctx(spec, **kwargs):
+    """Samoyeds on ``spec`` with 4 streams and 64-row segment tiles."""
+    return ExecutionContext.create(CFG, "samoyeds", spec, streams=4,
+                                   tile_n=64, **kwargs)
+
+
 class TestSegments:
     def test_segment_count_matches_experts(self, spec, plan):
-        from repro.kernels.ssmm_samoyeds import SamoyedsKernel
-        segments = expert_segment_seconds(CFG, plan, spec,
-                                          SamoyedsKernel())
+        segments = expert_segment_seconds(_ctx(spec), plan)
         assert len(segments) == CFG.num_experts
         assert all(s >= 0 for s in segments)
 
     def test_loaded_experts_cost_time(self, spec, plan):
-        from repro.kernels.ssmm_samoyeds import SamoyedsKernel
-        segments = expert_segment_seconds(CFG, plan, spec,
-                                          SamoyedsKernel())
+        segments = expert_segment_seconds(_ctx(spec), plan)
         loads = plan.load()
         for load, seg in zip(loads, segments):
             assert (seg > 0) == (load > 0)
@@ -67,11 +70,11 @@ class TestPolicies:
 
 class TestComparison:
     def test_all_policies_present(self, spec, plan):
-        out = compare_policies(CFG, plan, spec, streams=4)
+        out = compare_policies(_ctx(spec), plan)
         assert set(out) == {"sequential", "parallel", "fused"}
 
     def test_parallel_never_slower_than_sequential(self, spec, plan):
-        out = compare_policies(CFG, plan, spec, streams=4)
+        out = compare_policies(_ctx(spec), plan)
         assert (out["parallel"].makespan_s
                 <= out["sequential"].makespan_s * 1.0001)
 
@@ -80,8 +83,8 @@ class TestComparison:
                            seed=32)
         hot = skewed_plan(512, CFG.num_experts, CFG.top_k, skew=1.5,
                           seed=32)
-        flat_out = compare_policies(CFG, flat, spec, streams=4)
-        hot_out = compare_policies(CFG, hot, spec, streams=4)
+        flat_out = compare_policies(_ctx(spec), flat)
+        hot_out = compare_policies(_ctx(spec), hot)
         assert (hot_out["parallel"].utilisation
                 <= flat_out["parallel"].utilisation + 0.05)
 
@@ -150,13 +153,13 @@ class TestEdgeCases:
 
 class TestContextIntegration:
     def test_context_first_argument(self, spec, plan):
-        from repro.context import ExecutionContext
         ctx = ExecutionContext.create(CFG, "samoyeds", spec, streams=4)
         from repro.kernels.ssmm_samoyeds import SamoyedsKernel
-        legacy = expert_segment_seconds(CFG, plan, spec, SamoyedsKernel(),
-                                        tile_n=ctx.effective_tile_n)
+        direct = segment_seconds_from_loads(CFG, plan.load(), spec,
+                                            SamoyedsKernel(),
+                                            ctx.effective_tile_n)
         via_ctx = expert_segment_seconds(ctx, plan)
-        assert via_ctx == pytest.approx(legacy)
+        assert via_ctx == pytest.approx(direct)
         out = compare_policies(ctx, plan)
         assert out["parallel"].streams == 4
 
@@ -218,7 +221,6 @@ class TestExpertParallelSchedule:
             device_makespans([1.0], place_experts(4, 2), streams=1)
 
     def test_ep_shrinks_compute_and_adds_comm(self, spec, plan):
-        from repro.context import ExecutionContext
         from repro.moe.scheduler import schedule_expert_parallel
         from repro.hw.interconnect import ParallelPlan
 
@@ -233,7 +235,6 @@ class TestExpertParallelSchedule:
         assert 0.0 < res4.comm_fraction < 1.0
 
     def test_balanced_beats_round_robin_under_skew(self, spec, plan):
-        from repro.context import ExecutionContext
         from repro.hw.interconnect import ParallelPlan
         from repro.moe.scheduler import (
             place_experts,
@@ -252,10 +253,11 @@ class TestExpertParallelSchedule:
             place_experts,
             schedule_expert_parallel,
         )
+        ctx = ExecutionContext.create(CFG, "samoyeds", spec,
+                                      parallel="ep=4")
         with pytest.raises(ConfigError):
             schedule_expert_parallel(
-                CFG, plan, ep=4, spec=spec,
-                placement=place_experts(CFG.num_experts, 2))
+                ctx, plan, placement=place_experts(CFG.num_experts, 2))
 
     def test_tp_shards_segments(self, spec, plan):
         tp1 = segment_seconds_from_loads(

@@ -26,7 +26,7 @@ from repro.moe.memory_model import (
 )
 from repro.moe.trace import zipf_expert_popularity
 from repro.serve.batcher import ActiveRequest, StepPlan
-from repro.serve.engine import ServingEngine, simulate
+from repro.serve.engine import ServingEngine
 from repro.serve.events import Arrival, EventKind, StepComplete
 from repro.utils.rng import new_rng
 from repro.workloads.traces import Request, poisson_trace
@@ -333,25 +333,27 @@ def test_check_every_samples():
 # ----------------------------------------------------------------------
 # End to end: byte-identity and env-var opt-in
 # ----------------------------------------------------------------------
-def report_json(**kwargs):
+def report_json(ctx, **kwargs):
     trace = poisson_trace(num_requests=24, rate_qps=40.0, seed=11)
-    report = simulate(MODEL, trace=trace, **kwargs)
+    report = ServingEngine(ctx=ctx, **kwargs).run(trace)
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {},
-    {"page_size": 16},
-    {"batcher_name": "chunked"},
-    {"parallel": "ep=2", "seed": 3},
-    {"engine": "auto"},
+@pytest.mark.parametrize("ctx_kwargs,kwargs", [
+    ({}, {}),
+    ({}, {"page_size": 16}),
+    ({}, {"batcher_name": "chunked"}),
+    ({"parallel": "ep=2"}, {"seed": 3}),
+    ({"engine": "auto"}, {}),
 ], ids=["plain", "paged", "chunked", "distributed", "auto"])
-def test_sanitized_report_byte_identical(kwargs):
+def test_sanitized_report_byte_identical(ctx_kwargs, kwargs):
+    ctx = ExecutionContext.create(MODEL, **ctx_kwargs)
     kwargs = dict(kwargs)
     if kwargs.pop("batcher_name", None) == "chunked":
         from repro.serve.batcher import ChunkedPrefillBatcher
         kwargs["batcher"] = ChunkedPrefillBatcher()
-    assert report_json(**kwargs) == report_json(sanitize=True, **kwargs)
+    assert (report_json(ctx, **kwargs)
+            == report_json(ctx, sanitize=True, **kwargs))
 
 
 def test_env_var_enables_sanitizer(monkeypatch):

@@ -8,7 +8,7 @@ from repro.__main__ import main as repro_main
 from repro.bench.cli import build_parser, main
 
 
-SERVE_ARGS = ["serve", "--engines", "samoyeds,vllm", "--trace", "poisson",
+SERVE_ARGS = ["serve", "--engines", "samoyeds,vllm", "--workload", "poisson",
               "--requests", "10", "--qps", "4", "--prompt-tokens", "128",
               "--output-tokens", "6", "--layers", "4"]
 
@@ -16,13 +16,18 @@ SERVE_ARGS = ["serve", "--engines", "samoyeds,vllm", "--trace", "poisson",
 class TestParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.trace == "poisson"
+        assert args.workload == "poisson"
         assert args.engines == "samoyeds,vllm-ds"
         assert args.batcher == "continuous"
 
-    def test_serve_rejects_unknown_trace(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--trace", "weibull"])
+    def test_serve_rejects_unknown_trace(self, capsys):
+        assert main(["serve", "--workload", "weibull"]) == 2
+        assert "workload.kind" in capsys.readouterr().err
+        # The retired --trace flag prefix-matches --trace-path and
+        # fails loudly instead of silently serving poisson.
+        assert main(["serve", "--trace", "bursty"]) == 2
+        assert ("workload.trace_path: only applies to file-replay kinds"
+                in capsys.readouterr().err)
 
     def test_serve_rejects_unknown_model(self):
         with pytest.raises(SystemExit):
@@ -50,7 +55,7 @@ class TestServeCommand:
 
     def test_bursty_static(self, capsys):
         assert main(SERVE_ARGS[:1] + [
-            "--engines", "samoyeds", "--trace", "bursty",
+            "--engines", "samoyeds", "--workload", "bursty",
             "--batcher", "static", "--batch-size", "4",
             "--requests", "8", "--output-tokens", "4",
             "--layers", "2"]) == 0
@@ -249,17 +254,21 @@ workload: {requests: 6, qps: 8.0, prompt_tokens: 128, output_tokens: 4}
         assert "ttft p50 ms" in captured.err      # table on stderr
 
     def test_single_run_matches_legacy_simulate(self, tmp_path, capsys):
-        from repro.serve import poisson_trace, simulate
+        """The single-run payload equals a directly built engine's
+        report."""
+        from repro.context import ExecutionContext
+        from repro.serve import ServingEngine, poisson_trace
+        from repro.utils.rng import DEFAULT_SEED
         path = self._write(tmp_path, self.CONFIG)
         assert main(["run", path]) == 0
         payload = json.loads(capsys.readouterr().out)
-        from repro.utils.rng import DEFAULT_SEED
-        legacy = simulate(
-            "mixtral-8x7b", "samoyeds", "rtx4070s",
-            trace=poisson_trace(6, 8.0, prompt_tokens=128,
-                                output_tokens=4, seed=DEFAULT_SEED),
-            num_layers=2, seed=DEFAULT_SEED)
-        assert payload == json.loads(json.dumps(legacy.to_dict()))
+        ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds",
+                                      "rtx4070s")
+        direct = ServingEngine(ctx=ctx, num_layers=2,
+                               seed=DEFAULT_SEED).run(
+            poisson_trace(6, 8.0, prompt_tokens=128, output_tokens=4,
+                          seed=DEFAULT_SEED))
+        assert payload == json.loads(json.dumps(direct.to_dict()))
 
     def test_sweep_run_expands_grid(self, tmp_path, capsys):
         path = self._write(tmp_path, self.CONFIG + """

@@ -90,7 +90,7 @@ class TestSummarise:
         assert report.qps_sustained == pytest.approx(2 / 6.0)
         assert report.max_concurrency == 2
         assert report.peak_memory_bytes == 300.0
-        assert report.ttft_s["p50"] == pytest.approx(1.5)
+        assert report.ttft_s.p50 == pytest.approx(1.5)
 
     def test_to_dict_round_trips_json(self):
         import json
@@ -123,7 +123,7 @@ class TestSummarise:
                            batcher="b", num_requests=3)
         assert report.steps == 1
         assert report.duration_s == pytest.approx(2.0)
-        assert report.queue_depth["max"] == 3.0
+        assert report.queue_depth.max == 3.0
         assert report.max_concurrency == 1
         assert report.peak_memory_bytes == 10.0
 
@@ -148,7 +148,7 @@ class TestPreemptionAndReservedPeak:
         assert report.peak_memory_bytes == 120.0
         assert report.peak_reserved_bytes == 400.0
         assert report.preemptions == 2
-        assert report.block_utilisation["max"] == 0.40
+        assert report.block_utilisation.max == 0.40
 
     def test_new_fields_in_payload(self):
         payload = summarise(self._collector(), engine="e", model="m",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ReproError, ShapeError
+from repro.errors import ConfigError, ReproError, ShapeError
 from repro.utils import (
     check_divisible,
     check_positive,
@@ -73,6 +73,15 @@ class TestRng:
     def test_distinct_seeds_differ(self):
         assert not np.allclose(new_rng(1).normal(size=8),
                                new_rng(2).normal(size=8))
+
+    def test_negative_seed_rejected(self):
+        from repro.context import ExecutionContext
+        from repro.serve import ServingEngine
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            new_rng(-1)
+        ctx = ExecutionContext.create("mixtral-8x7b")
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            ServingEngine(ctx=ctx, seed=-1)
 
 
 class TestUnits:
