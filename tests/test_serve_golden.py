@@ -5,7 +5,10 @@ report's JSON serialisation must equal the file committed under
 ``tests/golden/``, byte for byte — same floats, same counts, same
 ordering.  The colocated fixtures' files hold the reports of the
 pre-calendar serving loop byte for byte, so they pin the event-calendar
-:class:`~repro.serve.engine.ServingEngine` to it; the deployment
+:class:`~repro.serve.engine.ServingEngine` to it (``paged-preempt``,
+the one colocated run that preempts under the default policy, was
+frozen from the calendar loop while it still grew each resident with
+its own ledger call); the deployment
 fixtures (a tenant-scheduled chunked/paged ``auto`` run and four
 multi-pool runs) pin the paths that loop never had.  Any intentional
 behaviour change must regenerate the files, not relax this test:
@@ -40,9 +43,11 @@ def _report(case):
 
 
 # One fixture per serving surface: the plain continuous path (which
-# exercises the uneventful-decode fast path), paged preemption, LPT
-# stream overlap, auto dispatch, multi-device parallel serving, the
-# horizon cut, chunked prefill, static batching and a dense engine.
+# exercises the uneventful-decode fast path), paged allocation below
+# its knee, paged preemption under the default ``youngest_first``
+# policy, LPT stream overlap, auto dispatch, multi-device parallel
+# serving, the horizon cut, chunked prefill, static batching and a
+# dense engine.
 CASES = {
     "serve": dict(
         trace=dict(num_requests=40, rate_qps=60.0, seed=3),
@@ -53,6 +58,11 @@ CASES = {
                    prompt_tokens=700, output_tokens=48, jitter=0.9),
         ctx=("mixtral-8x7b", "samoyeds", "rtx4070s"), ctx_kw={},
         eng=dict(num_layers=1, seed=11, page_size=16)),
+    "paged-preempt": dict(
+        trace=dict(num_requests=40, rate_qps=400.0, seed=12,
+                   prompt_tokens=2048, output_tokens=256, jitter=0.5),
+        ctx=("mixtral-8x7b", "samoyeds", "rtx4070s"), ctx_kw={},
+        eng=dict(num_layers=1, seed=41, page_size=16)),
     "lpt-streams": dict(
         trace=dict(num_requests=25, rate_qps=60.0, seed=7),
         ctx=("mixtral-8x7b", "samoyeds", "a100"),
