@@ -12,8 +12,9 @@ check, on every operation:
 * **memory ledgers** (:class:`SanitizedLedger` /
   :class:`SanitizedDeviceLedgers`) — block/byte conservation
   (allocated == live + freed, never negative), no double admission,
-  no growth or release of a non-resident request, and all-or-nothing
-  admission/growth across a device grid;
+  no growth or release of a non-resident request, all-or-nothing
+  admission/growth across a device grid, and bulk growth that
+  advances exactly the prefix it reports;
 * **step pricer** (:class:`SanitizedStepPricer`) — memo purity: a
   sampled step is re-priced through a *fresh* memo-less pricer and
   must match the memoised answer within :data:`MEMO_TOL`.
@@ -44,6 +45,8 @@ from repro.serve.costs import StepPricer
 from repro.serve.events import Event, EventManager, EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from typing import Callable, Sequence
+
     from repro.serve.batcher import StepPlan
 
 #: Absolute tolerance for the memo-purity re-price comparison.
@@ -133,10 +136,54 @@ class SanitizedEventManager(EventManager):
 # ----------------------------------------------------------------------
 # Memory ledgers
 # ----------------------------------------------------------------------
+def check_bulk_growth(ledger, request_ids: "Sequence[int]",
+                      new_tokens: int, grown: int,
+                      before: "dict[int, list[int | None]]",
+                      contexts: "Callable[[int], list[int | None]]"
+                      ) -> None:
+    """The prefix contract of ``ledger.grow_each``, checked after the
+    call.
+
+    ``grown`` counts a prefix of the distinct ``request_ids``; exactly
+    that prefix advanced by ``new_tokens`` (on every device), and the
+    refused request and every later one did not move.  ``before`` maps
+    each request to its per-device contexts before the call, and
+    ``contexts(rid)`` reads them now.  The refusal must be genuine:
+    ``clamp_growth``, which shares no code with the bulk walk, agrees
+    the refused growth does not fit.
+    """
+    if len(before) != len(request_ids) \
+            or not 0 <= grown <= len(request_ids):
+        raise SanitizerError(
+            "bulk growth",
+            f"grow_each grew {grown} of {len(request_ids)} requests "
+            f"({len(before)} distinct)",
+            grown=grown, requests=list(request_ids))
+    for index, rid in enumerate(request_ids):
+        step = new_tokens if index < grown else 0
+        expected = [None if b is None else b + step for b in before[rid]]
+        after = contexts(rid)
+        if after != expected:
+            raise SanitizerError(
+                "bulk growth",
+                f"grow_each grew the first {grown} of {len(request_ids)} "
+                f"requests, but request {rid} (position {index}) holds "
+                f"{after} tokens, not {expected}",
+                request=rid, position=index, grown=grown,
+                before=before[rid], after=after)
+    if grown < len(request_ids):
+        refused = request_ids[grown]
+        if ledger.clamp_growth(refused, new_tokens) >= new_tokens:
+            raise SanitizerError(
+                "spurious refusal",
+                f"grow_each refused request {refused}, whose growth fits",
+                request=refused, grown=grown)
+
+
 class SanitizedLedger:
     """Conservation-checking wrapper around one :class:`MemoryLedger`.
 
-    Reads delegate untouched (``__getattr__``); the three mutators are
+    Reads delegate untouched (``__getattr__``); the four mutators are
     intercepted to track residency and block/byte flows.  Invariants
     checked after every mutation:
 
@@ -146,6 +193,10 @@ class SanitizedLedger:
     * block conservation (paged): blocks allocated == blocks held +
       blocks freed, and never negative; a failed ``grow`` must charge
       nothing;
+    * bulk growth: ``grow_each`` advances exactly the prefix it
+      reports, charges neither the refused request nor any later one,
+      and refuses only a growth that does not fit
+      (:func:`check_bulk_growth`);
     * byte sanity: the charged pool (``charged_bytes``) is never
       negative;
     * running totals: every O(1) total the ledger keeps
@@ -176,11 +227,7 @@ class SanitizedLedger:
         self._check("admit", request_id)
 
     def grow(self, request_id: int, new_tokens: int = 1) -> None:
-        if request_id not in self._resident:
-            raise SanitizerError(
-                "grow before admit",
-                f"request {request_id} grew without being resident",
-                request=request_id)
+        self._require_resident(request_id)
         before = self._held_blocks(request_id)
         used_before = self._used_blocks()
         try:
@@ -195,14 +242,38 @@ class SanitizedLedger:
                     request=request_id, held_before=before,
                     held_after=self._held_blocks(request_id))
             raise
-        delta = self._held_blocks(request_id) - before
-        if delta < 0:
-            raise SanitizerError(
-                "block conservation",
-                f"grow of request {request_id} shrank its block count",
-                request=request_id, delta=delta)
-        self._allocated_blocks += delta
+        self._count_new_blocks("grow", request_id, before)
         self._check("grow", request_id)
+
+    def grow_each(self, request_ids: "Sequence[int]",
+                  new_tokens: int = 1) -> int:
+        for rid in request_ids:
+            self._require_resident(rid)
+        inner = self._inner
+
+        def contexts(rid: int) -> "list[int | None]":
+            return [inner._context.get(rid)]
+
+        before = {rid: contexts(rid) for rid in request_ids}
+        held = {rid: self._held_blocks(rid) for rid in request_ids}
+        grown = inner.grow_each(request_ids, new_tokens)
+        for index, rid in enumerate(request_ids):
+            if index < grown:
+                self._count_new_blocks("grow_each", rid, held[rid])
+            elif self._held_blocks(rid) != held[rid]:
+                raise SanitizerError(
+                    "failed growth charged blocks",
+                    f"grow_each refused request {request_ids[grown]} "
+                    f"but charged request {rid} blocks",
+                    request=rid, held_before=held[rid],
+                    held_after=self._held_blocks(rid))
+        check_bulk_growth(inner, request_ids, new_tokens, grown, before,
+                          contexts)
+        if request_ids:
+            # Name the refused request, else the last one grown.
+            self._check("grow_each",
+                        request_ids[min(grown, len(request_ids) - 1)])
+        return grown
 
     def release(self, request_id: int) -> None:
         if request_id not in self._resident:
@@ -216,6 +287,25 @@ class SanitizedLedger:
         self._check("release", request_id)
 
     # -- invariant checks ------------------------------------------------
+    def _require_resident(self, request_id: int) -> None:
+        if request_id not in self._resident:
+            raise SanitizerError(
+                "grow before admit",
+                f"request {request_id} grew without being resident",
+                request=request_id)
+
+    def _count_new_blocks(self, op: str, request_id: int,
+                          held_before: int) -> None:
+        """Book a grown request's new blocks as allocated (a growth
+        never gives blocks back)."""
+        delta = self._held_blocks(request_id) - held_before
+        if delta < 0:
+            raise SanitizerError(
+                "block conservation",
+                f"{op} of request {request_id} shrank its block count",
+                request=request_id, delta=delta)
+        self._allocated_blocks += delta
+
     def _held_blocks(self, request_id: int) -> int:
         if isinstance(self._inner, BlockAllocator):
             return self._inner._blocks.get(request_id, 0)
@@ -300,7 +390,9 @@ class SanitizedDeviceLedgers:
     :class:`SanitizedLedger` (so per-device conservation is checked),
     and the composite operations verify the grid contract: an
     admission or growth either lands on *every* device or — when the
-    bottleneck raises :class:`CapacityError` — on *none*.
+    bottleneck raises :class:`CapacityError` — on *none*; a bulk
+    growth advances its reported prefix on every device and nothing
+    after it.
     """
 
     def __init__(self, inner: DeviceLedgers) -> None:
@@ -361,6 +453,14 @@ class SanitizedDeviceLedgers:
                 f"growth of request {request_id} advanced devices "
                 "unevenly", request=request_id, before=before,
                 after=after)
+
+    def grow_each(self, request_ids: "Sequence[int]",
+                  new_tokens: int = 1) -> int:
+        before = {rid: self._contexts(rid) for rid in request_ids}
+        grown = self._inner.grow_each(request_ids, new_tokens)
+        check_bulk_growth(self._inner, request_ids, new_tokens, grown,
+                          before, self._contexts)
+        return grown
 
     def release(self, request_id: int) -> None:
         self._inner.release(request_id)

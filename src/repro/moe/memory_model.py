@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import CapacityError, ConfigError
 from repro.hw.interconnect import ParallelPlan
@@ -321,9 +322,10 @@ class MemoryLedger:
 
     Every charge is a whole number of bytes, and the ledger keeps
     running totals of the charged bytes and the resident KV tokens that
-    :meth:`admit`, :meth:`grow` and :meth:`release` update, so every
-    query is O(1) in the number of resident requests.  :meth:`recount`
-    recomputes the totals from the per-request state.
+    :meth:`admit`, :meth:`grow_each` (and its one-request case
+    :meth:`grow`) and :meth:`release` update, so every query is O(1) in
+    the number of resident requests.  :meth:`recount` recomputes the
+    totals from the per-request state.
     """
 
     config: MoEModelConfig
@@ -409,11 +411,42 @@ class MemoryLedger:
         self._resident_tokens += prompt_tokens
         self._charged_bytes += charge_bytes
 
+    def fit_count(self, request_ids: Sequence[int],
+                  new_tokens: int = 1) -> int:
+        """How many of ``request_ids``, taken in order, the pool can
+        grow by ``new_tokens`` together: the count :meth:`grow_each`
+        would grow.  Charges nothing.
+
+        Here growth is free (a conservative ledger reserved each peak
+        at admission), so every request fits.
+        """
+        context = self._context
+        for rid in request_ids:
+            if rid not in context:
+                self._require(rid)
+        return len(request_ids)
+
+    def grow_each(self, request_ids: Sequence[int],
+                  new_tokens: int = 1) -> int:
+        """Advance the live KV context of each of ``request_ids`` by
+        ``new_tokens``, in the order given, stopping before the first
+        growth the pool cannot back (charging nothing for it).
+
+        Returns how many requests grew.  The result, and every charge,
+        equals calling :meth:`grow` on each request until one raises
+        :class:`CapacityError`.
+        """
+        grown = self.fit_count(request_ids, new_tokens)
+        context = self._context
+        for rid in request_ids:
+            context[rid] += new_tokens
+        self._resident_tokens += grown * new_tokens
+        return grown
+
     def grow(self, request_id: int, new_tokens: int = 1) -> None:
-        """Advance a request's live KV context by ``new_tokens``."""
-        self._require(request_id)
-        self._context[request_id] += new_tokens
-        self._resident_tokens += new_tokens
+        """Advance one request's live KV context by ``new_tokens``: the
+        one-request case of :meth:`grow_each`."""
+        self.grow_each((request_id,), new_tokens)
 
     def release(self, request_id: int) -> None:
         """Free a finished (or preempted) request's charge."""
@@ -532,8 +565,9 @@ class BlockAllocator(MemoryLedger):
     requests.  Until then, the headroom the conservative policy wastes on
     not-yet-generated tokens admits extra requests.
 
-    :meth:`grow` raises :class:`CapacityError` when the pool cannot back
-    a new block; the serving engine answers by preempting the youngest
+    :meth:`grow_each` stops before the first growth whose new block the
+    pool cannot back, and :meth:`grow` raises :class:`CapacityError`
+    for it; the serving engine answers by preempting the youngest
     resident request (recompute-on-readmit).
     """
 
@@ -631,32 +665,76 @@ class BlockAllocator(MemoryLedger):
     def peak_bytes(self, final_seq_len: int) -> int:
         return self.block_bytes(self.blocks_for(final_seq_len))
 
+    def fit_count(self, request_ids: Sequence[int],
+                  new_tokens: int = 1) -> int:
+        return self._advance(request_ids, new_tokens, commit=False)
+
+    def grow_each(self, request_ids: Sequence[int],
+                  new_tokens: int = 1) -> int:
+        """Advance each context in order, allocating blocks across
+        boundaries, up to the first growth whose new blocks the pool
+        cannot back."""
+        return self._advance(request_ids, new_tokens, commit=True)
+
+    def _advance(self, request_ids: Sequence[int], new_tokens: int,
+                 commit: bool) -> int:
+        """The block walk behind :meth:`fit_count` and
+        :meth:`grow_each`: count (and on ``commit`` charge) each growth
+        in order against what the earlier ones left free."""
+        context, blocks, page = self._context, self._blocks, self.page_size
+        budget_bytes, static_bytes = self.budget_bytes, self.static_bytes
+        charged_bytes = self._charged_bytes
+        grown = new_blocks = 0
+        try:
+            for rid in request_ids:
+                if rid not in context:
+                    self._require(rid)
+                tokens = context[rid] + new_tokens
+                held = blocks[rid]
+                if tokens > held * page:     # crosses a block boundary
+                    needed = self.blocks_for(tokens)
+                    delta_bytes = (self.block_bytes(needed)
+                                   - self.block_bytes(held))
+                    # The same expression as ``free_bytes``.
+                    if delta_bytes > budget_bytes - (static_bytes
+                                                     + charged_bytes):
+                        break
+                    charged_bytes += delta_bytes
+                    if commit:
+                        blocks[rid] = needed
+                        new_blocks += needed - held
+                if commit:
+                    context[rid] = tokens
+                grown += 1
+        finally:                # an unknown request raises part-way
+            if commit:
+                self._charged_bytes = charged_bytes
+                self._used_blocks += new_blocks
+                self._resident_tokens += grown * new_tokens
+        return grown
+
     def grow(self, request_id: int, new_tokens: int = 1) -> None:
-        """Advance the context, allocating blocks across boundaries.
+        """The one-request case of :meth:`grow_each`.
 
         Raises :class:`CapacityError` — without charging anything — when
         the pool cannot back the new blocks; the caller preempts.
         """
-        self._require(request_id)
-        context = self._context[request_id] + new_tokens
+        if not self.grow_each((request_id,), new_tokens):
+            raise self._refusal(request_id, new_tokens)
+
+    def _refusal(self, request_id: int, new_tokens: int) -> CapacityError:
+        """The error for a growth :meth:`fit_count` refuses: the block
+        delta it needs against the bytes free."""
         held = self._blocks[request_id]
-        if context > held * self.page_size:     # crosses a block boundary
-            needed = self.blocks_for(context)
-            delta_bytes = self.block_bytes(needed) \
-                - self.block_bytes(held)
-            if delta_bytes > self.free_bytes:
-                raise CapacityError(
-                    f"{self.engine}: request {request_id} needs "
-                    f"{needed - held} more blocks "
-                    f"({delta_bytes / GIB:.3f} GiB) > "
-                    f"{self.free_bytes / GIB:.3f} GiB free",
-                    required_bytes=int(delta_bytes),
-                    available_bytes=int(max(self.free_bytes, 0)))
-            self._blocks[request_id] = needed
-            self._used_blocks += needed - held
-            self._charged_bytes += delta_bytes
-        self._context[request_id] = context
-        self._resident_tokens += new_tokens
+        needed = self.blocks_for(self._context[request_id] + new_tokens)
+        delta_bytes = self.block_bytes(needed) - self.block_bytes(held)
+        return CapacityError(
+            f"{self.engine}: request {request_id} needs "
+            f"{needed - held} more blocks "
+            f"({delta_bytes / GIB:.3f} GiB) > "
+            f"{self.free_bytes / GIB:.3f} GiB free",
+            required_bytes=int(delta_bytes),
+            available_bytes=int(max(self.free_bytes, 0)))
 
     def release(self, request_id: int) -> None:
         blocks = self._blocks.pop(request_id, 0)
@@ -798,24 +876,35 @@ class DeviceLedgers:
         return min(led.clamp_growth(request_id, desired_tokens)
                    for led in self.ledgers)
 
+    def fit_count(self, request_ids: Sequence[int],
+                  new_tokens: int = 1) -> int:
+        """The least of the per-device fit counts: a growth fits the
+        grid when it fits every device."""
+        return min(led.fit_count(request_ids, new_tokens)
+                   for led in self.ledgers)
+
+    def grow_each(self, request_ids: Sequence[int],
+                  new_tokens: int = 1) -> int:
+        """All-or-nothing bulk growth: each request in the prefix that
+        fits every device grows on every device; the rest on none."""
+        grown = self.fit_count(request_ids, new_tokens)
+        prefix = request_ids[:grown]
+        for led in self.ledgers:
+            led.grow_each(prefix, new_tokens)
+        return grown
+
     def grow(self, request_id: int, new_tokens: int = 1) -> None:
         """All-or-nothing growth: charge every device or none.
 
-        Raises :class:`CapacityError` from the bottleneck device when
-        any device cannot back the new tokens (the serving engine
-        answers by preempting, exactly as with one device).
+        Raises the :class:`CapacityError` of the first device that
+        cannot back the new tokens, with that device's block delta (the
+        serving engine answers by preempting, exactly as with one
+        device).
         """
-        grant = self.clamp_growth(request_id, new_tokens)
-        if grant < new_tokens:
-            bottleneck = min(self.ledgers, key=lambda led: led.free_bytes)
-            raise CapacityError(
-                f"{bottleneck.engine}: request {request_id} cannot grow "
-                f"by {new_tokens} tokens on the bottleneck device "
-                f"({bottleneck.free_bytes / GIB:.3f} GiB free)",
-                required_bytes=int(bottleneck.sequence_bytes(new_tokens)),
-                available_bytes=int(max(bottleneck.free_bytes, 0)))
-        for led in self.ledgers:
-            led.grow(request_id, new_tokens)
+        if not self.grow_each((request_id,), new_tokens):
+            refusing = next(led for led in self.ledgers
+                            if not led.fit_count((request_id,), new_tokens))
+            raise refusing._refusal(request_id, new_tokens)
 
     def release(self, request_id: int) -> None:
         for led in self.ledgers:

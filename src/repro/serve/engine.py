@@ -283,10 +283,10 @@ class Pool:
         sample values (``live_bytes`` from the ledger's resident-token
         total, every running request one token further per step).
         Only the work whose outcome is already known is skipped —
-        planning, per-token ledger growth (bulk-applied afterwards),
-        the preemption machinery and the finish scan.  Stops *before*
-        any step boundary where an event could be due, leaving that
-        step to the general path.  Commits at most ``max_steps`` steps
+        planning, per-step ledger growth (one ``grow_each`` call
+        afterwards), the preemption machinery and the finish scan.
+        Stops *before* any step boundary where an event could be due,
+        leaving that step to the general path.  Commits at most ``max_steps`` steps
         and returns how many it committed.  Only sound when this pool
         is the run's only pool and :attr:`fast_eligible` holds.
         """
@@ -358,7 +358,7 @@ class Pool:
         manager.clock = clock
         for ar in running:
             ar.generated += committed
-            ledger.grow(ar.request.rid, committed)
+        ledger.grow_each([ar.request.rid for ar in running], committed)
         return committed
 
     def cluster_report(self) -> dict[str, object] | None:
@@ -680,12 +680,22 @@ class ServingLoop:
             running.extend(plan.prefill)
             # Decode growth first, oldest arrivals first: under paged
             # allocation the block that backs a new token may require
-            # preempting the youngest resident request.
-            for ar in sorted(plan.decode, key=_arrival_order):
-                if ar.request.rid in evicted:
-                    continue
-                ar.generated += 1
-                grow(pool, ar, evicted)
+            # preempting the youngest resident request.  One ledger call
+            # grows the longest prefix that fits; only the refused
+            # request takes the per-request preemption path, and the
+            # bulk call resumes on the survivors after it.
+            order = sorted(plan.decode, key=_arrival_order)
+            while order:
+                grown = ledger.grow_each([ar.request.rid for ar in order])
+                for ar in order[:grown]:
+                    ar.generated += 1
+                if grown == len(order):
+                    break
+                refused = order[grown]
+                refused.generated += 1
+                grow(pool, refused, evicted)
+                order = [ar for ar in order[grown + 1:]
+                         if ar.request.rid not in evicted]
             for ar in plan.prefill:            # prompt + first token
                 record = records[ar.request.rid]
                 if record.admitted_s is None:

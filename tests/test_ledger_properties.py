@@ -10,6 +10,13 @@ ledger's per-request state with the O(residents) formulas the running
 totals replaced.  Each operation must also keep the admission contract:
 a granted chunk is admissible, a growth within ``clamp_growth``
 succeeds, and a refused admission or growth charges nothing.
+
+A second property pins the bulk growth call: on random admit / release
+/ ``grow_each`` sequences, ``grow_each`` must grow exactly the requests
+that calling ``grow`` on each in turn grows before its first
+:class:`CapacityError`, and leave the same per-request state, running
+totals and ``recount()``; ``fit_count`` must predict its count without
+charging anything.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CapacityError
@@ -55,28 +62,37 @@ OPS = st.lists(st.one_of(
 ), min_size=12, max_size=48)
 
 
-def device(config, engine):
-    """An rtx4070s resized so that its pool holds about four 1024-token
-    sequences: random operation sequences often run into capacity."""
-    static_bytes = (weight_bytes(config, engine)
+def device(config, engine, seq_tokens=1024, parallel=None,
+           device_experts=None):
+    """An rtx4070s resized so that its pool holds about four
+    ``seq_tokens``-token sequences (as a ``parallel`` shard holding
+    ``device_experts`` experts): random operation sequences often run
+    into capacity."""
+    static_bytes = (weight_bytes(config, engine, parallel, device_experts)
                     + fixed_overhead_bytes(config, engine))
-    pool_bytes = 4 * per_sequence_bytes(config, engine, 1024)
+    pool_bytes = 4 * per_sequence_bytes(config, engine, seq_tokens,
+                                        parallel)
     return dataclasses.replace(
         get_gpu("rtx4070s"), dram_capacity=int(
             (static_bytes + pool_bytes) / (1.0 - FRAGMENTATION)))
 
 
-def build(kind, model, engine, page_size):
+def build(kind, model, engine, page_size, seq_tokens=1024):
     config = MODEL_REGISTRY[model]
-    gpu = device(config, engine)
     if kind == "tracker":
-        return KVCacheTracker(config, engine, gpu)
+        return KVCacheTracker(config, engine, device(config, engine,
+                                                     seq_tokens))
     if kind == "paged":
-        return BlockAllocator(config, engine, gpu, page_size=page_size)
+        return BlockAllocator(config, engine,
+                              device(config, engine, seq_tokens),
+                              page_size=page_size)
+    # Both devices are sized for the shard with the most experts.
     experts = config.num_experts
+    counts = (experts - experts // 4, experts // 4)
+    plan = ParallelPlan(ep=2)
+    gpu = device(config, engine, seq_tokens, plan, counts[0])
     return DeviceLedgers.create(
-        config, engine, [gpu, gpu], ParallelPlan(ep=2),
-        expert_counts=(experts - experts // 4, experts // 4),
+        config, engine, [gpu, gpu], plan, expert_counts=counts,
         page_size=page_size if kind == "grid-paged" else None)
 
 
@@ -179,3 +195,86 @@ def test_running_totals_equal_per_request_sums(model, engine, kind, ops,
                 ledger.release(rid)
                 del shadow[rid]
         check(ledger, shadow)
+
+
+#: (ledger kind, page size) pairs for the bulk-growth property; the
+#: page size is unused by the conservative kinds.
+BULK_KINDS = [("tracker", 16), ("paged", 1), ("paged", 16), ("grid", 16),
+              ("grid-paged", 1), ("grid-paged", 16)]
+
+#: Admissions and bulk growths outweigh releases three to one, on a
+#: pool of about four 256-token sequences, so most sequences fill it
+#: and many bulk growths are refused part-way.
+BULK_ADMIT = st.tuples(st.just("admit"), st.integers(1, 256),
+                       st.integers(0, 256))
+BULK_GROW = st.tuples(st.just("bulk"),
+                      st.lists(st.integers(0, 63), min_size=1, max_size=12),
+                      st.one_of(st.just(1), st.integers(2, 256)))
+BULK_OPS = st.lists(st.one_of(
+    BULK_ADMIT, BULK_GROW, BULK_ADMIT, BULK_GROW, BULK_GROW,
+    st.tuples(st.just("release"), st.integers(0, 63), st.just(0)),
+), min_size=16, max_size=48)
+
+
+def snapshot(ledger):
+    """Every device's per-request state and running totals, after
+    checking that ``recount()`` agrees with the totals."""
+    state = []
+    for led in devices(ledger):
+        totals = {"resident_tokens": led.resident_tokens,
+                  "charged_bytes": led.charged_bytes}
+        if isinstance(led, BlockAllocator):
+            totals["used_blocks"] = led.used_blocks
+        assert led.recount() == totals
+        state.append((dict(led._context), dict(getattr(led, "_blocks", {})),
+                      totals))
+    return state
+
+
+#: A pool filled with one-block requests, then one-token growth of
+#: every resident, before and after a release: one-token refusals
+#: part-way, which random sequences reach rarely.
+FULL_POOL = [("admit", 16, 16)] * 80 + [
+    ("bulk", list(range(80)), 1), ("release", 0, 0),
+    ("bulk", list(range(80)), 1)]
+
+
+@pytest.mark.parametrize("kind,page_size", BULK_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(pair=st.sampled_from(PAIRS), ops=BULK_OPS)
+@example(pair=("mixtral-8x7b", "samoyeds"), ops=FULL_POOL)
+def test_grow_each_equals_sequential_grow(kind, page_size, pair, ops):
+    bulk, sequential = (build(kind, *pair, page_size, seq_tokens=256)
+                        for _ in range(2))
+    resident: list[int] = []
+    ids = itertools.count()
+    for op, a, b in ops:
+        if op == "admit":
+            if bulk.can_admit_request(a, a + b):
+                rid = next(ids)
+                for ledger in (bulk, sequential):
+                    ledger.admit(rid, a, a + b)
+                resident.append(rid)
+        elif op == "release" and resident:
+            rid = resident.pop(a % len(resident))
+            for ledger in (bulk, sequential):
+                ledger.release(rid)
+        elif op == "bulk" and resident:
+            order = list(dict.fromkeys(resident[i % len(resident)]
+                                       for i in a))
+            before = snapshot(bulk)
+            predicted = bulk.fit_count(order, b)
+            assert snapshot(bulk) == before       # fit_count charges nothing
+            grown = bulk.grow_each(order, b)
+            one_by_one = 0
+            for rid in order:
+                fits = sequential.clamp_growth(rid, b) == b
+                try:
+                    sequential.grow(rid, b)
+                except CapacityError:
+                    assert not fits
+                    break
+                assert fits
+                one_by_one += 1
+            assert grown == predicted == one_by_one
+            assert snapshot(bulk) == snapshot(sequential)

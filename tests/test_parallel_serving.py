@@ -122,6 +122,29 @@ class TestDeviceLedgers:
         after = [led.reserved_bytes for led in ledgers.ledgers]
         assert all(b > a for b, a in zip(after, before))
 
+    def test_refused_growth_reports_the_block_it_needs(self):
+        """A refused grid growth reports the refusing device's block
+        delta, which exceeds the bytes that device has free."""
+        a100 = get_gpu("a100")
+        ledgers = self._ledgers(counts=[5, 3], page_size=16,
+                                gpus=[a100, a100])
+        ledgers.admit(0, 16, 64)             # one full block
+        rid = 1
+        for prompt_tokens in (4096, 16):     # fill, then top up by block
+            while ledgers.can_admit_request(prompt_tokens, prompt_tokens):
+                ledgers.admit(rid, prompt_tokens, prompt_tokens)
+                rid += 1
+        before = [led.reserved_bytes for led in ledgers.ledgers]
+        with pytest.raises(CapacityError) as refused:
+            ledgers.grow(0, 1)               # needs a second block
+        heavy = ledgers.ledgers[0]           # 5 experts: least free
+        assert refused.value.required_bytes \
+            == heavy.block_bytes(2) - heavy.block_bytes(1)
+        assert refused.value.available_bytes == int(heavy.free_bytes)
+        assert refused.value.required_bytes \
+            > refused.value.available_bytes
+        assert [led.reserved_bytes for led in ledgers.ledgers] == before
+
     def test_grow_unknown_request_rejected(self):
         with pytest.raises(ConfigError):
             self._ledgers().grow(99)

@@ -20,6 +20,7 @@ from repro.analysis.sanitizer import (
 from repro.context import ExecutionContext
 from repro.errors import CapacityError, SanitizerError
 from repro.moe.memory_model import (
+    FRAGMENTATION,
     BlockAllocator,
     DeviceLedgers,
     KVCacheTracker,
@@ -216,12 +217,12 @@ def test_healthy_paged_lifecycle_is_silent():
 # ----------------------------------------------------------------------
 # Device grids: all-or-nothing
 # ----------------------------------------------------------------------
-def make_grid(ctx=None):
+def make_grid(ctx=None, gpus=None, page_size=None):
     ctx = ctx or make_ctx(parallel="ep=2")
     cluster = ctx.cluster_spec
-    gpus = [cluster.device(d) for d in range(2)]
+    gpus = gpus or [cluster.device(d) for d in range(2)]
     return DeviceLedgers.create(ctx.config, ctx.engine.name, gpus,
-                                ctx.parallel)
+                                ctx.parallel, page_size=page_size)
 
 
 def test_wrap_ledger_dispatch():
@@ -266,9 +267,119 @@ def test_healthy_grid_lifecycle_is_silent():
     wrapped.admit(1, 8, 12)
     wrapped.admit(2, 8, 12)
     wrapped.grow(1, 4)
+    wrapped.grow_each([2, 1], 4)
     wrapped.release(1)
     wrapped.release(2)
     wrapped.assert_drained()
+
+
+# ----------------------------------------------------------------------
+# Bulk growth: exactly the prefix that fits
+# ----------------------------------------------------------------------
+def tight(spec, ledger, blocks=8):
+    """``spec`` shrunk so that ``ledger``'s pool holds ``blocks``
+    one-block requests and half a block more."""
+    pool_bytes = (blocks + 0.5) * ledger.peak_bytes(16)
+    return spec.with_overrides(dram_capacity=int(
+        (ledger.static_bytes + pool_bytes) / (1.0 - FRAGMENTATION)))
+
+
+def fill(ledger):
+    """Admit one-block requests until the pool is full; their ids.
+    Each resident's next token then needs a block the pool lacks."""
+    rids = []
+    while ledger.can_admit_request(16, 32):
+        ledger.admit(len(rids), 16, 32)
+        rids.append(len(rids))
+    return rids
+
+
+class AdvancesPastRefusal(BlockAllocator):
+    def grow_each(self, request_ids, new_tokens=1):
+        grown = super().grow_each(request_ids, new_tokens)
+        late = request_ids[grown + 1]
+        self._context[late] += new_tokens   # the bug: grows past it
+        self._resident_tokens += new_tokens
+        return grown
+
+
+class ChargesRefused(BlockAllocator):
+    def grow_each(self, request_ids, new_tokens=1):
+        grown = super().grow_each(request_ids, new_tokens)
+        refused = request_ids[grown]
+        self._blocks[refused] += 1          # the bug: charges it anyway
+        self._used_blocks += 1
+        self._charged_bytes += self.block_bytes(2) - self.block_bytes(1)
+        return grown
+
+
+@pytest.mark.parametrize("buggy,position", [
+    (AdvancesPastRefusal, 1), (ChargesRefused, 0)])
+def test_broken_bulk_growth_detected(buggy, position):
+    ctx = make_ctx()
+    ledger = SanitizedLedger(buggy(ctx.config, ctx.engine.name,
+                                   tight(ctx.spec, make_allocator(ctx)),
+                                   page_size=16))
+    rids = fill(ledger)
+    with pytest.raises(SanitizerError) as caught:
+        ledger.grow_each(rids)               # refused at position 0
+    assert caught.value.subject["request"] == rids[position]
+
+
+class GridAdvancesPastRefusal(DeviceLedgers):
+    def grow_each(self, request_ids, new_tokens=1):
+        grown = super().grow_each(request_ids, new_tokens)
+        for led in self.ledgers:            # the bug: on every device
+            led._inner._context[request_ids[grown + 1]] += new_tokens
+        return grown
+
+
+class GridChargesRefused(DeviceLedgers):
+    def grow_each(self, request_ids, new_tokens=1):
+        grown = super().grow_each(request_ids, new_tokens)
+        led = self.ledgers[-1]              # the bug: one device grows it
+        led._inner._context[request_ids[grown]] += new_tokens
+        return grown
+
+
+@pytest.mark.parametrize("buggy,position", [
+    (GridAdvancesPastRefusal, 1), (GridChargesRefused, 0)])
+def test_broken_grid_bulk_growth_detected(buggy, position):
+    ctx = make_ctx(parallel="ep=2")
+    spec = tight(ctx.spec, make_grid(ctx, page_size=16))
+    grid = make_grid(ctx, gpus=[spec, spec], page_size=16)
+    wrapped = SanitizedDeviceLedgers(buggy(ledgers=grid.ledgers))
+    rids = fill(wrapped)
+    with pytest.raises(SanitizerError, match="bulk growth") as caught:
+        wrapped.grow_each(rids)
+    assert caught.value.subject["request"] == rids[position]
+
+
+def test_spurious_refusal_detected():
+    class StopsAtOne(BlockAllocator):
+        def grow_each(self, request_ids, new_tokens=1):
+            return super().grow_each(request_ids[:1], new_tokens)
+
+    ctx = make_ctx()
+    ledger = SanitizedLedger(StopsAtOne(ctx.config, ctx.engine.name,
+                                        ctx.spec, page_size=16))
+    ledger.admit(1, 8, 12)
+    ledger.admit(2, 8, 12)
+    with pytest.raises(SanitizerError, match="spurious refusal"):
+        ledger.grow_each([1, 2])
+
+
+def test_healthy_bulk_growth_is_silent():
+    ctx = make_ctx()
+    ledger = SanitizedLedger(BlockAllocator(
+        ctx.config, ctx.engine.name, tight(ctx.spec, make_allocator(ctx)),
+        page_size=16))
+    rids = fill(ledger)
+    assert ledger.grow_each(rids) == 0       # full: nothing fits
+    ledger.release(rids.pop())
+    grown = ledger.grow_each(rids)
+    assert 0 < grown < len(rids)
+    assert ledger.grow_each(rids[grown:], 0) == len(rids) - grown
 
 
 # ----------------------------------------------------------------------
