@@ -5,10 +5,12 @@ report's JSON serialisation must equal the file committed under
 ``tests/golden/``, byte for byte — same floats, same counts, same
 ordering.  The colocated fixtures' files hold the reports of the
 pre-calendar serving loop byte for byte, so they pin the event-calendar
-:class:`~repro.serve.engine.ServingEngine` to it (``paged-preempt``,
-the one colocated run that preempts under the default policy, was
-frozen from the calendar loop while it still grew each resident with
-its own ledger call); the deployment
+:class:`~repro.serve.engine.ServingEngine` to it.  Three colocated runs
+that preempt under the default policy were frozen from the calendar
+loop later: ``paged-preempt`` while it still grew each resident with
+its own ledger call, and ``prompt-preempt`` and
+``chunked-prompt-preempt`` while it still grew decodes, whole prompts
+and last chunks in three loops.  The deployment
 fixtures (a tenant-scheduled chunked/paged ``auto`` run and four
 multi-pool runs) pin the paths that loop never had.  Any intentional
 behaviour change must regenerate the files, not relax this test:
@@ -45,9 +47,10 @@ def _report(case):
 # One fixture per serving surface: the plain continuous path (which
 # exercises the uneventful-decode fast path), paged allocation below
 # its knee, paged preemption under the default ``youngest_first``
-# policy, LPT stream overlap, auto dispatch, multi-device parallel
-# serving, the horizon cut, chunked prefill, static batching and a
-# dense engine.
+# policy (during decode, and for a first token after a whole prompt or
+# a last chunk), LPT stream overlap, auto dispatch, multi-device
+# parallel serving, the horizon cut, chunked prefill, static batching
+# and a dense engine.
 CASES = {
     "serve": dict(
         trace=dict(num_requests=40, rate_qps=60.0, seed=3),
@@ -63,6 +66,19 @@ CASES = {
                    prompt_tokens=2048, output_tokens=256, jitter=0.5),
         ctx=("mixtral-8x7b", "samoyeds", "rtx4070s"), ctx_kw={},
         eng=dict(num_layers=1, seed=41, page_size=16)),
+    # Prompts of exactly 128 pages: every first output token needs a
+    # new block, so a full pool refuses it and preempts.
+    "prompt-preempt": dict(
+        trace=dict(num_requests=40, rate_qps=100.0, seed=1,
+                   prompt_tokens=2048, output_tokens=512, jitter=0.0),
+        ctx=("mixtral-8x7b", "samoyeds", "rtx4070s"), ctx_kw={},
+        eng=dict(num_layers=1, seed=43, page_size=16)),
+    "chunked-prompt-preempt": dict(
+        trace=dict(num_requests=40, rate_qps=1000.0, seed=1,
+                   prompt_tokens=2048, output_tokens=128, jitter=0.0),
+        ctx=("mixtral-8x7b", "samoyeds", "rtx4070s"), ctx_kw={},
+        eng=dict(num_layers=1, seed=43, page_size=16,
+                 batcher_factory=ChunkedPrefillBatcher)),
     "lpt-streams": dict(
         trace=dict(num_requests=25, rate_qps=60.0, seed=7),
         ctx=("mixtral-8x7b", "samoyeds", "a100"),
