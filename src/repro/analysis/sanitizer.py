@@ -13,8 +13,8 @@ check, on every operation:
   :class:`SanitizedDeviceLedgers`) — block/byte conservation
   (allocated == live + freed, never negative), no double admission,
   no growth or release of a non-resident request, all-or-nothing
-  admission/growth across a device grid, and bulk growth that
-  advances exactly the prefix it reports;
+  admission across a device grid, and bulk growth that advances
+  exactly the prefix it reports, on every device;
 * **step pricer** (:class:`SanitizedStepPricer`) — memo purity: a
   sampled step is re-priced through a *fresh* memo-less pricer and
   must match the memoised answer within :data:`MEMO_TOL`.
@@ -191,8 +191,7 @@ class SanitizedLedger:
       requests admitted and not yet released here — no phantom or
       leaked entries;
     * block conservation (paged): blocks allocated == blocks held +
-      blocks freed, and never negative; a failed ``grow`` must charge
-      nothing;
+      blocks freed, and never negative;
     * bulk growth: ``grow_each`` advances exactly the prefix it
       reports, charges neither the refused request nor any later one,
       and refuses only a growth that does not fit
@@ -225,25 +224,6 @@ class SanitizedLedger:
         self._resident.add(request_id)
         self._allocated_blocks += self._held_blocks(request_id)
         self._check("admit", request_id)
-
-    def grow(self, request_id: int, new_tokens: int = 1) -> None:
-        self._require_resident(request_id)
-        before = self._held_blocks(request_id)
-        used_before = self._used_blocks()
-        try:
-            self._inner.grow(request_id, new_tokens)
-        except CapacityError:
-            if self._held_blocks(request_id) != before \
-                    or self._used_blocks() != used_before:
-                raise SanitizerError(
-                    "failed growth charged blocks",
-                    f"CapacityError on grow of request {request_id} "
-                    "left a partial charge",
-                    request=request_id, held_before=before,
-                    held_after=self._held_blocks(request_id))
-            raise
-        self._count_new_blocks("grow", request_id, before)
-        self._check("grow", request_id)
 
     def grow_each(self, request_ids: "Sequence[int]",
                   new_tokens: int = 1) -> int:
@@ -389,10 +369,9 @@ class SanitizedDeviceLedgers:
     Each per-device ledger is additionally wrapped in a
     :class:`SanitizedLedger` (so per-device conservation is checked),
     and the composite operations verify the grid contract: an
-    admission or growth either lands on *every* device or — when the
-    bottleneck raises :class:`CapacityError` — on *none*; a bulk
-    growth advances its reported prefix on every device and nothing
-    after it.
+    admission either lands on *every* device or — when the bottleneck
+    raises :class:`CapacityError` — on *none*; a bulk growth advances
+    its reported prefix on every device and nothing after it.
     """
 
     def __init__(self, inner: DeviceLedgers) -> None:
@@ -431,28 +410,6 @@ class SanitizedDeviceLedgers:
                 f"admission of request {request_id} skipped some "
                 "devices", request=request_id,
                 devices=self._residency(request_id))
-
-    def grow(self, request_id: int, new_tokens: int = 1) -> None:
-        before = self._contexts(request_id)
-        try:
-            self._inner.grow(request_id, new_tokens)
-        except CapacityError:
-            if self._contexts(request_id) != before:
-                raise SanitizerError(
-                    "all-or-nothing growth",
-                    f"failed growth of request {request_id} charged a "
-                    "subset of devices", request=request_id,
-                    before=before, after=self._contexts(request_id))
-            raise
-        after = self._contexts(request_id)
-        expected = [None if b is None else b + new_tokens
-                    for b in before]
-        if after != expected:
-            raise SanitizerError(
-                "all-or-nothing growth",
-                f"growth of request {request_id} advanced devices "
-                "unevenly", request=request_id, before=before,
-                after=after)
 
     def grow_each(self, request_ids: "Sequence[int]",
                   new_tokens: int = 1) -> int:

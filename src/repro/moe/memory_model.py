@@ -312,8 +312,8 @@ class MemoryLedger:
     * :class:`BlockAllocator` — paged admission: each request is charged
       only the fixed-size token blocks that are currently live, so the
       same budget sustains more concurrent requests, at the price that
-      :meth:`grow` can raise :class:`CapacityError` mid-decode (the
-      serving engine resolves that by preempting the youngest request).
+      :meth:`grow_each` can refuse a growth mid-decode (the serving
+      engine resolves that by preempting the youngest request).
 
     ``live_bytes`` reports the instantaneous static + KV footprint as
     caches grow token by token; ``reserved_bytes`` reports what the
@@ -322,10 +322,9 @@ class MemoryLedger:
 
     Every charge is a whole number of bytes, and the ledger keeps
     running totals of the charged bytes and the resident KV tokens that
-    :meth:`admit`, :meth:`grow_each` (and its one-request case
-    :meth:`grow`) and :meth:`release` update, so every query is O(1) in
-    the number of resident requests.  :meth:`recount` recomputes the
-    totals from the per-request state.
+    :meth:`admit`, :meth:`grow_each` and :meth:`release` update, so
+    every query is O(1) in the number of resident requests.
+    :meth:`recount` recomputes the totals from the per-request state.
     """
 
     config: MoEModelConfig
@@ -373,8 +372,7 @@ class MemoryLedger:
 
     def _require(self, request_id: int) -> None:
         if request_id not in self._context:
-            raise ConfigError(
-                f"unknown request {request_id}: admit() before grow()")
+            raise ConfigError(f"unknown request {request_id}")
 
     # -- admission policy (per subclass) -------------------------------
     def can_admit_request(self, prompt_tokens: int,
@@ -396,8 +394,8 @@ class MemoryLedger:
         raise NotImplementedError
 
     def clamp_growth(self, request_id: int, desired_tokens: int) -> int:
-        """Largest growth (<= ``desired_tokens``) the ledger can charge
-        for an admitted request without raising."""
+        """Largest growth (<= ``desired_tokens``) :meth:`grow_each`
+        would charge an admitted request."""
         raise NotImplementedError
 
     def peak_bytes(self, final_seq_len: int) -> int:
@@ -433,8 +431,7 @@ class MemoryLedger:
         growth the pool cannot back (charging nothing for it).
 
         Returns how many requests grew.  The result, and every charge,
-        equals calling :meth:`grow` on each request until one raises
-        :class:`CapacityError`.
+        equals growing the requests one call each until one is refused.
         """
         grown = self.fit_count(request_ids, new_tokens)
         context = self._context
@@ -442,11 +439,6 @@ class MemoryLedger:
             context[rid] += new_tokens
         self._resident_tokens += grown * new_tokens
         return grown
-
-    def grow(self, request_id: int, new_tokens: int = 1) -> None:
-        """Advance one request's live KV context by ``new_tokens``: the
-        one-request case of :meth:`grow_each`."""
-        self.grow_each((request_id,), new_tokens)
 
     def release(self, request_id: int) -> None:
         """Free a finished (or preempted) request's charge."""
@@ -518,6 +510,8 @@ class KVCacheTracker(MemoryLedger):
     def admit(self, request_id: int, prompt_tokens: int,
               final_seq_len: int) -> None:
         """Reserve a request's peak footprint (raises on overflow)."""
+        if request_id in self._reserved:
+            raise ConfigError(f"request {request_id} already admitted")
         need_bytes = self.sequence_bytes(final_seq_len)
         if need_bytes > self.free_bytes:
             raise CapacityError(
@@ -526,8 +520,6 @@ class KVCacheTracker(MemoryLedger):
                 f"{self.free_bytes / GIB:.2f} GiB "
                 f"free", required_bytes=int(need_bytes),
                 available_bytes=int(max(self.free_bytes, 0)))
-        if request_id in self._reserved:
-            raise ConfigError(f"request {request_id} already admitted")
         self._reserved[request_id] = need_bytes
         self._enter(request_id, prompt_tokens, need_bytes)
 
@@ -566,9 +558,8 @@ class BlockAllocator(MemoryLedger):
     not-yet-generated tokens admits extra requests.
 
     :meth:`grow_each` stops before the first growth whose new block the
-    pool cannot back, and :meth:`grow` raises :class:`CapacityError`
-    for it; the serving engine answers by preempting the youngest
-    resident request (recompute-on-readmit).
+    pool cannot back; the serving engine answers by preempting the
+    youngest resident request (recompute-on-readmit).
     """
 
     page_size: int = 16
@@ -713,29 +704,6 @@ class BlockAllocator(MemoryLedger):
                 self._resident_tokens += grown * new_tokens
         return grown
 
-    def grow(self, request_id: int, new_tokens: int = 1) -> None:
-        """The one-request case of :meth:`grow_each`.
-
-        Raises :class:`CapacityError` — without charging anything — when
-        the pool cannot back the new blocks; the caller preempts.
-        """
-        if not self.grow_each((request_id,), new_tokens):
-            raise self._refusal(request_id, new_tokens)
-
-    def _refusal(self, request_id: int, new_tokens: int) -> CapacityError:
-        """The error for a growth :meth:`fit_count` refuses: the block
-        delta it needs against the bytes free."""
-        held = self._blocks[request_id]
-        needed = self.blocks_for(self._context[request_id] + new_tokens)
-        delta_bytes = self.block_bytes(needed) - self.block_bytes(held)
-        return CapacityError(
-            f"{self.engine}: request {request_id} needs "
-            f"{needed - held} more blocks "
-            f"({delta_bytes / GIB:.3f} GiB) > "
-            f"{self.free_bytes / GIB:.3f} GiB free",
-            required_bytes=int(delta_bytes),
-            available_bytes=int(max(self.free_bytes, 0)))
-
     def release(self, request_id: int) -> None:
         blocks = self._blocks.pop(request_id, 0)
         self._used_blocks -= blocks
@@ -755,9 +723,9 @@ class DeviceLedgers:
     presents the single-ledger interface the batchers and the serving
     engine already speak, fanning every charge out to all per-device
     ledgers and answering every query from the most constrained device,
-    so admission is gated on the bottleneck and :meth:`grow` is
-    all-or-nothing (no device is charged unless every device can back
-    the growth).
+    so admission is gated on the bottleneck and admission and growth
+    are all-or-nothing (no device is charged unless every device can
+    back the charge).
     """
 
     def __init__(self, ledgers: "list[MemoryLedger]") -> None:
@@ -856,14 +824,12 @@ class DeviceLedgers:
 
     def admit(self, request_id: int, prompt_tokens: int,
               final_seq_len: int) -> None:
+        """All-or-nothing admission: a device that cannot back the
+        request raises its own :class:`CapacityError` (which charges
+        nothing) before any device is charged."""
         for led in self.ledgers:
             if not led.can_admit_request(prompt_tokens, final_seq_len):
-                raise CapacityError(
-                    f"{led.engine}: request {request_id} does not fit on "
-                    f"the bottleneck device "
-                    f"({led.free_bytes / GIB:.2f} GiB free)",
-                    required_bytes=int(led.peak_bytes(final_seq_len)),
-                    available_bytes=int(max(led.free_bytes, 0)))
+                led.admit(request_id, prompt_tokens, final_seq_len)  # raises
         for led in self.ledgers:
             led.admit(request_id, prompt_tokens, final_seq_len)
 
@@ -892,19 +858,6 @@ class DeviceLedgers:
         for led in self.ledgers:
             led.grow_each(prefix, new_tokens)
         return grown
-
-    def grow(self, request_id: int, new_tokens: int = 1) -> None:
-        """All-or-nothing growth: charge every device or none.
-
-        Raises the :class:`CapacityError` of the first device that
-        cannot back the new tokens, with that device's block delta (the
-        serving engine answers by preempting, exactly as with one
-        device).
-        """
-        if not self.grow_each((request_id,), new_tokens):
-            refusing = next(led for led in self.ledgers
-                            if not led.fit_count((request_id,), new_tokens))
-            raise refusing._refusal(request_id, new_tokens)
 
     def release(self, request_id: int) -> None:
         for led in self.ledgers:

@@ -238,7 +238,7 @@ class ChunkedPrefillBatcher(BudgetedBatcher):
             grant = tracker.clamp_growth(partial.request.rid,
                                          min(budget, remaining_tokens))
             if grant > 0:
-                tracker.grow(partial.request.rid, grant)
+                tracker.grow_each((partial.request.rid,), grant)
                 chunks.append(PrefillChunk(
                     ar=partial, tokens=grant,
                     offset=partial.prefilled_tokens))
@@ -257,8 +257,7 @@ class ChunkedPrefillBatcher(BudgetedBatcher):
                     and not self.admission_gate.try_admit(clock, req)):
                 break                     # rate-throttled: retry later
             waiting.popleft()
-            tracker.admit(req.rid, 0, req.total_tokens)
-            tracker.grow(req.rid, first)
+            tracker.admit(req.rid, first, req.total_tokens)
             ar = ActiveRequest(request=req, admitted_s=clock)
             running.append(ar)
             chunks.append(PrefillChunk(ar=ar, tokens=first, offset=0))

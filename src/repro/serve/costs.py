@@ -116,11 +116,9 @@ class StepPricer:
     def price(self, plan: "StepPlan") -> "tuple[float, float, str | None]":
         """Price one step: ``(step_s, comm_s, auto_winner)``.
 
-        ``step_s`` and ``comm_s`` are scaled to all decoder layers
-        (they are what the old ``step_seconds`` returned and stashed in
-        ``_step_comm_s``); ``auto_winner`` names the engine the
-        cost-driven selector dispatched this step to, ``None`` off the
-        auto path.
+        ``step_s`` and ``comm_s`` are scaled to all decoder layers;
+        ``auto_winner`` names the engine the cost-driven selector
+        dispatched this step to, ``None`` off the auto path.
         """
         context = (sum(ar.context_tokens for ar in plan.decode)
                    if plan.decode else 0)

@@ -511,50 +511,44 @@ class ServingLoop:
             manager.emit(Preempt(when=manager.clock, victim_rid=req.rid,
                                  tenant=req.tenant))
 
-        def grow(pool: Pool, ar: ActiveRequest, evicted: set[int]) -> bool:
-            """Charge one token of KV growth for ``ar``, preempting the
-            scheduling policy's preferred victim until it fits — the
-            youngest resident request (latest arrival) under the
-            default policy, the lowest-priority / most-slack one under
-            ``priority_slack``.
+        def make_room(pool: Pool, ar: ActiveRequest,
+                      evicted: set[int]) -> None:
+            """Charge the token of KV growth the ledger refused ``ar``,
+            preempting the scheduling policy's preferred victim until
+            it fits — the youngest resident request (latest arrival)
+            under the default policy, the lowest-priority / most-slack
+            one under ``priority_slack`` — or until ``ar`` itself is
+            evicted.
 
-            Returns ``False`` when ``ar`` itself was the victim and got
-            evicted; raises :class:`CapacityError` when ``ar`` cannot
-            grow even with the pool to itself (unless transfers out of
-            the pool will free bytes when they land: then ``ar``
-            recomputes later).
+            Raises :class:`CapacityError` when ``ar`` cannot grow even
+            with the pool to itself (unless transfers out of the pool
+            will free bytes when they land: then ``ar`` recomputes
+            later).
             """
             ledger = pool.ledger
+            running = pool.running
             while True:
-                try:
-                    ledger.grow(ar.request.rid)
-                    return True
-                except CapacityError:
-                    running = pool.running
-                    victim = max(running, key=victim_key)
-                    if (victim is ar and len(running) == 1
-                            and not pool.outbound):
-                        total_tokens = ar.request.total_tokens
-                        raise CapacityError(
-                            f"request {ar.request.rid} "
-                            f"({total_tokens} tokens) "
-                            f"exceeds device memory even alone on "
-                            f"{pool.ctx.spec.name} with "
-                            f"{pool.ctx.engine.name}",
-                            required_bytes=int(
-                                ledger.peak_bytes(total_tokens)),
-                            available_bytes=int(ledger.budget_bytes
-                                                - ledger.static_bytes))
-                    evict(pool, victim, evicted)
-                    if victim is ar:
-                        return False
+                victim = max(running, key=victim_key)
+                if victim is ar and len(running) == 1 and not pool.outbound:
+                    total_tokens = ar.request.total_tokens
+                    raise CapacityError(
+                        f"request {ar.request.rid} ({total_tokens} tokens) "
+                        f"exceeds device memory even alone on "
+                        f"{pool.ctx.spec.name} with {pool.ctx.engine.name}",
+                        required_bytes=int(ledger.peak_bytes(total_tokens)),
+                        available_bytes=int(ledger.budget_bytes
+                                            - ledger.static_bytes))
+                evict(pool, victim, evicted)
+                if victim is ar or ledger.grow_each((ar.request.rid,)):
+                    return
 
-        def first_token(pool: Pool, ar: ActiveRequest,
-                        record: RequestRecord, clock: float) -> None:
+        def first_token(pool: Pool, ar: ActiveRequest, clock: float) -> None:
             """``ar``'s prompt is fully prefilled: token one is out."""
+            ar.prefilled_tokens = ar.request.prompt_tokens
             ar.prefilled = True
             ar.generated = 1
             pool.prefills += 1
+            record = records[ar.request.rid]
             if record.first_token_s is None:
                 record.first_token_s = clock
                 pool.ttft_values.append(clock - ar.request.arrival_s)
@@ -678,44 +672,37 @@ class ServingLoop:
             # Every ledger-charged request must be resident before any
             # growth, so preemption can see (and evict) all of them.
             running.extend(plan.prefill)
-            # Decode growth first, oldest arrivals first: under paged
+            for chunk in plan.chunks:
+                chunk.ar.prefilled_tokens += chunk.tokens
+            for ar in (*plan.prefill, *(chunk.ar for chunk in plan.chunks)):
+                record = records[ar.request.rid]
+                if record.admitted_s is None:
+                    record.admitted_s = ar.admitted_s
+            # Grow every token the step produced, in one order: the
+            # decodes, oldest arrival first, then the prompts it
+            # finished (whole prefills, then last chunks).  Under paged
             # allocation the block that backs a new token may require
-            # preempting the youngest resident request.  One ledger call
-            # grows the longest prefix that fits; only the refused
-            # request takes the per-request preemption path, and the
-            # bulk call resumes on the survivors after it.
-            order = sorted(plan.decode, key=_arrival_order)
+            # preempting a resident request.  One ledger call grows the
+            # longest prefix that fits; only the refused request makes
+            # room, and the bulk call resumes on the survivors after
+            # it.  A request's token takes effect (one more decoded
+            # token, or a prompt's first) before a victim is chosen for
+            # it or for any later request, so the scheduling policy
+            # sees what one growth call per request would show it.
+            order = [*sorted(plan.decode, key=_arrival_order), *plan.prefill,
+                     *(chunk.ar for chunk in plan.chunks if chunk.completes)]
             while order:
                 grown = ledger.grow_each([ar.request.rid for ar in order])
-                for ar in order[:grown]:
-                    ar.generated += 1
+                for ar in order[:grown + 1]:       # the refused one too
+                    if ar.prefilled:               # a decode
+                        ar.generated += 1
+                    else:                          # a finished prompt
+                        first_token(pool, ar, clock)
                 if grown == len(order):
                     break
-                refused = order[grown]
-                refused.generated += 1
-                grow(pool, refused, evicted)
+                make_room(pool, order[grown], evicted)
                 order = [ar for ar in order[grown + 1:]
                          if ar.request.rid not in evicted]
-            for ar in plan.prefill:            # prompt + first token
-                record = records[ar.request.rid]
-                if record.admitted_s is None:
-                    record.admitted_s = ar.admitted_s
-                if ar.request.rid in evicted:
-                    continue
-                ar.prefilled_tokens = ar.request.prompt_tokens
-                first_token(pool, ar, record, clock)
-                grow(pool, ar, evicted)
-            for chunk in plan.chunks:          # chunked prefill slices
-                ar = chunk.ar
-                record = records[ar.request.rid]
-                if record.admitted_s is None:
-                    record.admitted_s = ar.admitted_s
-                if ar.request.rid in evicted:
-                    continue
-                ar.prefilled_tokens += chunk.tokens
-                if ar.prefilled_tokens >= ar.request.prompt_tokens:
-                    first_token(pool, ar, record, clock)   # last chunk
-                    grow(pool, ar, evicted)
             if not pool.serves_decode:
                 # Prompts that finished prefilling here must decode
                 # elsewhere: start (or queue) their KV migration.

@@ -13,10 +13,10 @@ succeeds, and a refused admission or growth charges nothing.
 
 A second property pins the bulk growth call: on random admit / release
 / ``grow_each`` sequences, ``grow_each`` must grow exactly the requests
-that calling ``grow`` on each in turn grows before its first
-:class:`CapacityError`, and leave the same per-request state, running
-totals and ``recount()``; ``fit_count`` must predict its count without
-charging anything.
+that one-request ``grow_each`` calls, in turn, grow before the first
+refusal, and leave the same per-request state, running totals and
+``recount()``; ``fit_count`` must predict its count without charging
+anything.
 """
 
 from __future__ import annotations
@@ -180,13 +180,9 @@ def test_running_totals_equal_per_request_sums(model, engine, kind, ops,
         elif shadow:
             rid = sorted(shadow)[a % len(shadow)]
             if op == "grow":
-                room = ledger.clamp_growth(rid, b)
-                try:
-                    ledger.grow(rid, b)
-                except CapacityError:
-                    assert room < b
-                else:
-                    assert room == b
+                fits = ledger.clamp_growth(rid, b) == b
+                assert ledger.grow_each((rid,), b) == fits
+                if fits:
                     shadow[rid][0] += b
             elif op == "clamp":
                 assert ledger.clamp_growth(rid, b) == min(
@@ -269,12 +265,9 @@ def test_grow_each_equals_sequential_grow(kind, page_size, pair, ops):
             one_by_one = 0
             for rid in order:
                 fits = sequential.clamp_growth(rid, b) == b
-                try:
-                    sequential.grow(rid, b)
-                except CapacityError:
-                    assert not fits
+                assert sequential.grow_each((rid,), b) == fits
+                if not fits:
                     break
-                assert fits
                 one_by_one += 1
             assert grown == predicted == one_by_one
             assert snapshot(bulk) == snapshot(sequential)

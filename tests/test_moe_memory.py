@@ -153,7 +153,7 @@ class TestKVCacheTracker:
         tracker = self._tracker(a100)
         tracker.admit(0, prompt_tokens=512, final_seq_len=1024)
         before = tracker.live_bytes
-        tracker.grow(0, 64)
+        assert tracker.grow_each((0,), 64) == 1
         grown = tracker.live_bytes - before
         assert grown == pytest.approx(
             kv_cache_bytes(MODEL_REGISTRY["mixtral-8x7b"], 64))
@@ -163,14 +163,25 @@ class TestKVCacheTracker:
         tracker = self._tracker(a100)
         tracker.admit(0, 512, 1024)
         reserved = tracker.reserved_bytes
-        tracker.grow(0, 100)
+        assert tracker.grow_each((0,), 100) == 1
         assert tracker.reserved_bytes == reserved
 
     def test_grow_unknown_rid_raises_config_error(self, a100):
-        """Regression: grow() used to leak a bare KeyError."""
+        """Regression: growth used to leak a bare KeyError."""
         tracker = self._tracker(a100)
         with pytest.raises(ConfigError, match="99"):
-            tracker.grow(99)
+            tracker.grow_each((99,))
+
+    def test_readmission_of_a_resident_on_a_full_pool(self, spec):
+        """Double admission is a caller bug (ConfigError), even when
+        the pool is also full: never a CapacityError, which callers
+        read as "does not fit"."""
+        tracker = self._tracker(spec)
+        for rid in range(tracker.max_concurrent(4096)):
+            tracker.admit(rid, 4000, 4096)
+        assert tracker.active_requests and not tracker.can_admit(4096)
+        with pytest.raises(ConfigError, match="already admitted"):
+            tracker.admit(0, 4000, 4096)
 
 
 class TestBlockAllocator:
@@ -186,7 +197,7 @@ class TestBlockAllocator:
         from repro.moe.memory_model import per_sequence_bytes
         alloc = self._alloc(a100)
         alloc.admit(0, 512, 1024)
-        alloc.grow(0, 512)
+        assert alloc.grow_each((0,), 512) == 1
         charged = alloc.reserved_bytes - alloc.static_bytes
         assert charged == pytest.approx(
             per_sequence_bytes(self.CFG, "samoyeds", 1024))
@@ -202,23 +213,22 @@ class TestBlockAllocator:
         alloc = self._alloc(a100, page=16)
         alloc.admit(0, 10, 1024)             # 1 block
         charged = alloc.reserved_bytes
-        alloc.grow(0, 6)                     # context 16: still 1 block
+        alloc.grow_each((0,), 6)             # context 16: still 1 block
         assert alloc.reserved_bytes == charged
-        alloc.grow(0, 1)                     # context 17: 2nd block
+        alloc.grow_each((0,), 1)             # context 17: 2nd block
         assert alloc.reserved_bytes > charged
 
-    def test_grow_raises_capacity_when_pool_exhausted(self, spec):
-        from repro.errors import CapacityError
+    def test_grow_refused_when_pool_exhausted(self, spec):
         alloc = self._alloc(spec, engine="vllm-ds", page=4096)
         rid = 0
         while alloc.admission_chunk(4096, 8192) > 0:
             alloc.admit(rid, 4096, 8192)     # one whole block each
             rid += 1
         assert rid > 0
-        before = alloc.reserved_bytes
-        with pytest.raises(CapacityError):
-            alloc.grow(0, 1)                 # needs a second 4096-token block
-        assert alloc.reserved_bytes == before   # failed grow charges nothing
+        before = alloc.reserved_bytes, alloc.used_blocks
+        # Needs a second 4096-token block: refused, charging nothing.
+        assert alloc.grow_each((0,), 1) == 0
+        assert (alloc.reserved_bytes, alloc.used_blocks) == before
 
     def test_max_concurrent_matches_table3_block_aligned(self, spec):
         """Paging changes when memory is charged, not how much a full
@@ -232,7 +242,7 @@ class TestBlockAllocator:
         alloc = self._alloc(a100)
         free0 = alloc.free_bytes
         alloc.admit(0, 512, 1024)
-        alloc.grow(0, 100)
+        alloc.grow_each((0,), 100)
         alloc.release(0)
         assert alloc.free_bytes == free0
         assert alloc.active_requests == 0
@@ -255,7 +265,7 @@ class TestBlockAllocator:
     def test_grow_unknown_rid_raises_config_error(self, a100):
         alloc = self._alloc(a100)
         with pytest.raises(ConfigError, match="7"):
-            alloc.grow(7)
+            alloc.grow_each((7,))
 
     def test_double_admit_rejected(self, a100):
         alloc = self._alloc(a100)

@@ -114,40 +114,59 @@ class TestDeviceLedgers:
         assert ledgers.free_bytes == min(led.free_bytes
                                          for led in ledgers.ledgers)
 
+    def _skewed_a100s(self):
+        """A paged 2 x a100 grid whose first device holds 5 of the 8
+        experts, so it has the least free memory."""
+        a100 = get_gpu("a100")
+        return self._ledgers(counts=[5, 3], page_size=16,
+                             gpus=[a100, a100])
+
     def test_paged_grow_is_all_or_nothing(self):
         ledgers = self._ledgers(page_size=16)
         ledgers.admit(0, 16, 64)
         before = [led.reserved_bytes for led in ledgers.ledgers]
-        ledgers.grow(0, 16)
+        assert ledgers.grow_each((0,), 16) == 1
         after = [led.reserved_bytes for led in ledgers.ledgers]
         assert all(b > a for b, a in zip(after, before))
 
-    def test_refused_growth_reports_the_block_it_needs(self):
-        """A refused grid growth reports the refusing device's block
-        delta, which exceeds the bytes that device has free."""
-        a100 = get_gpu("a100")
-        ledgers = self._ledgers(counts=[5, 3], page_size=16,
-                                gpus=[a100, a100])
+        ledgers = self._skewed_a100s()
         ledgers.admit(0, 16, 64)             # one full block
         rid = 1
         for prompt_tokens in (4096, 16):     # fill, then top up by block
             while ledgers.can_admit_request(prompt_tokens, prompt_tokens):
                 ledgers.admit(rid, prompt_tokens, prompt_tokens)
                 rid += 1
+        before = [(led.reserved_bytes, led.used_blocks)
+                  for led in ledgers.ledgers]
+        assert ledgers.grow_each((0,), 1) == 0   # needs a second block
+        assert [(led.reserved_bytes, led.used_blocks)
+                for led in ledgers.ledgers] == before
+
+    def test_refused_admission_reports_the_prompt_blocks(self):
+        """A grid that cannot admit a request raises the refusing
+        device's own error: the prompt blocks that device lacks, not
+        the request's peak footprint."""
+        ledgers = self._skewed_a100s()
+        rid = 0
+        while ledgers.can_admit_request(2048, 2304):
+            ledgers.admit(rid, 2048, 2304)
+            rid += 1
         before = [led.reserved_bytes for led in ledgers.ledgers]
         with pytest.raises(CapacityError) as refused:
-            ledgers.grow(0, 1)               # needs a second block
+            ledgers.admit(rid, 2048, 2304)
         heavy = ledgers.ledgers[0]           # 5 experts: least free
+        with pytest.raises(CapacityError) as alone:
+            heavy.admit(rid, 2048, 2304)
         assert refused.value.required_bytes \
-            == heavy.block_bytes(2) - heavy.block_bytes(1)
-        assert refused.value.available_bytes == int(heavy.free_bytes)
-        assert refused.value.required_bytes \
-            > refused.value.available_bytes
+            == alone.value.required_bytes == heavy.block_bytes(128)
+        assert refused.value.available_bytes \
+            == alone.value.available_bytes == int(heavy.free_bytes)
         assert [led.reserved_bytes for led in ledgers.ledgers] == before
+        assert ledgers.active_requests == rid
 
     def test_grow_unknown_request_rejected(self):
         with pytest.raises(ConfigError):
-            self._ledgers().grow(99)
+            self._ledgers().grow_each((99,))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):

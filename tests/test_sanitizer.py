@@ -18,7 +18,7 @@ from repro.analysis.sanitizer import (
     wrap_ledger,
 )
 from repro.context import ExecutionContext
-from repro.errors import CapacityError, SanitizerError
+from repro.errors import SanitizerError
 from repro.moe.memory_model import (
     FRAGMENTATION,
     BlockAllocator,
@@ -155,7 +155,7 @@ def test_double_admit_detected():
 def test_grow_before_admit_detected():
     ledger = SanitizedLedger(make_tracker())
     with pytest.raises(SanitizerError, match="grow before admit"):
-        ledger.grow(1)
+        ledger.grow_each((1,))
 
 
 def test_phantom_residency_detected():
@@ -172,7 +172,7 @@ def test_block_conservation_detected():
     ledger.admit(1, 64, 96)
     inner._blocks[1] += 1                # the bug: blocks minted free
     with pytest.raises(SanitizerError, match="block conservation"):
-        ledger.grow(1)
+        ledger.grow_each((1,))
 
 
 @pytest.mark.parametrize("total,invariant", [
@@ -186,16 +186,17 @@ def test_running_total_drift_detected(total, invariant):
     # The bug: a running total drifts from the per-request state.
     setattr(inner, total, getattr(inner, total) + 1)
     with pytest.raises(SanitizerError, match=invariant):
-        ledger.grow(1)
+        ledger.grow_each((1,))
 
 
 def test_failed_block_growth_charges_nothing():
     inner = make_allocator()
     ledger = SanitizedLedger(inner)
     ledger.admit(1, 64, 10_000_000)
-    with pytest.raises(CapacityError):
-        ledger.grow(1, 1_000_000_000)
-    # CapacityError passed through clean: no partial charge recorded.
+    before = inner.reserved_bytes, inner.used_blocks
+    assert ledger.grow_each((1,), 1_000_000_000) == 0
+    # Refused clean: no partial charge recorded.
+    assert (inner.reserved_bytes, inner.used_blocks) == before
     held = inner._blocks[1]
     assert ledger._allocated_blocks == held
     ledger.release(1)
@@ -208,7 +209,7 @@ def test_healthy_paged_lifecycle_is_silent():
         ledger.admit(rid, 64, 96)
     for _ in range(32):
         for rid in (1, 2, 3):
-            ledger.grow(rid)
+            assert ledger.grow_each((rid,)) == 1
     for rid in (1, 2, 3):
         ledger.release(rid)
     ledger.assert_drained()
@@ -251,22 +252,23 @@ def test_grid_uneven_growth_detected():
     grid = make_grid()
 
     class GrowsUnevenly(DeviceLedgers):
-        def grow(self, request_id, new_tokens=1):
-            self.ledgers[0].grow(request_id, new_tokens)
-            self.ledgers[1].grow(request_id, new_tokens + 1)
+        def grow_each(self, request_ids, new_tokens=1):
+            self.ledgers[0].grow_each(request_ids, new_tokens)
+            self.ledgers[1].grow_each(request_ids, new_tokens + 1)
+            return len(request_ids)
 
     buggy = GrowsUnevenly(ledgers=grid.ledgers)
     wrapped = SanitizedDeviceLedgers(buggy)
     wrapped.admit(1, 8, 12)
-    with pytest.raises(SanitizerError, match="all-or-nothing growth"):
-        wrapped.grow(1)
+    with pytest.raises(SanitizerError, match="bulk growth"):
+        wrapped.grow_each((1,))
 
 
 def test_healthy_grid_lifecycle_is_silent():
     wrapped = wrap_ledger(make_grid())
     wrapped.admit(1, 8, 12)
     wrapped.admit(2, 8, 12)
-    wrapped.grow(1, 4)
+    wrapped.grow_each((1,), 4)
     wrapped.grow_each([2, 1], 4)
     wrapped.release(1)
     wrapped.release(2)
