@@ -672,12 +672,6 @@ class ServingLoop:
             # Every ledger-charged request must be resident before any
             # growth, so preemption can see (and evict) all of them.
             running.extend(plan.prefill)
-            for chunk in plan.chunks:
-                chunk.ar.prefilled_tokens += chunk.tokens
-            for ar in (*plan.prefill, *(chunk.ar for chunk in plan.chunks)):
-                record = records[ar.request.rid]
-                if record.admitted_s is None:
-                    record.admitted_s = ar.admitted_s
             # Grow every token the step produced, in one order: the
             # decodes, oldest arrival first, then the prompts it
             # finished (whole prefills, then last chunks).  Under paged
@@ -689,8 +683,16 @@ class ServingLoop:
             # token, or a prompt's first) before a victim is chosen for
             # it or for any later request, so the scheduling policy
             # sees what one growth call per request would show it.
-            order = [*sorted(plan.decode, key=_arrival_order), *plan.prefill,
-                     *(chunk.ar for chunk in plan.chunks if chunk.completes)]
+            order = sorted(plan.decode, key=_arrival_order)
+            if plan.prefill or plan.chunks:
+                for chunk in plan.chunks:
+                    chunk.ar.prefilled_tokens += chunk.tokens
+                for ar in (*plan.prefill, *(chunk.ar for chunk in plan.chunks)):
+                    record = records[ar.request.rid]
+                    if record.admitted_s is None:
+                        record.admitted_s = ar.admitted_s
+                order += plan.prefill
+                order += [chunk.ar for chunk in plan.chunks if chunk.completes]
             while order:
                 grown = ledger.grow_each([ar.request.rid for ar in order])
                 for ar in order[:grown + 1]:       # the refused one too
