@@ -562,10 +562,13 @@ class SanitizedStepPricer(StepPricer):
 
     Every ``check_every``-th priced step (and always the first) is
     re-priced through a **fresh** :class:`StepPricer` sharing the same
-    context but none of the memos; the memoised answer must match
-    within :data:`MEMO_TOL` and name the same auto winner.  A mismatch
-    means a memo was poisoned (or a component stopped being a pure
-    function of its key).
+    context but none of the pricer's memos; the memoised answer must
+    match within :data:`MEMO_TOL` and name the same auto winner.  A
+    mismatch means a memo was poisoned (or a component stopped being a
+    pure function of its key).  The re-price does share the engines'
+    segment-shape aggregates (:meth:`~repro.moe.layers.MoEEngine._gemms`),
+    which live on the engine, not the pricer; ``tests/test_engine_memo.py``
+    checks that memo's purity instead.
 
     Stochastic configurations (Samoyeds LPT with streams > 1 or a
     device grid) are never whole-step memoised *and* draw from the

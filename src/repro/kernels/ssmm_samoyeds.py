@@ -263,8 +263,9 @@ class SamoyedsKernel(MatmulKernel):
              n_full: int | None = None):
         """Simulated cost; ``n`` is ``len_d`` (selected tokens).
 
-        ``n_full`` (total token columns) prices the dense-output penalty
-        when the compressed layout is disabled, and the SEL prologue.
+        ``n_full`` (total token columns) prices only the dense-output
+        penalty when the compressed layout is disabled; the SEL
+        prologue reads the padded ``n`` (:meth:`prologue_bytes`).
         """
         require_sparse_alu(spec)
         result = super().cost(m, k, n, spec, cfg)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -161,6 +162,29 @@ class MoEEngine(abc.ABC):
         """Simulated MoE-layer latency for ``tokens`` tokens."""
 
     # Helpers shared by subclasses ------------------------------------
+    def _gemms(self, config: MoEModelConfig, spec: GPUSpec, shape: int,
+               routed: Callable[[int], list[CostBreakdown]],
+               shared: list[CostBreakdown]) -> CostBreakdown:
+        """``combine`` over the routed launches ``routed(shape)`` and the
+        ``shared`` ones.
+
+        ``shape`` is the engine's padded routed segment shape, which
+        fixes the routed launches whatever the exact token count.  So
+        without shared launches the aggregate is memoised on the engine
+        by ``(config, spec, shape)``: a handful of keys per run, since
+        every step of up to a tile's worth of tokens pads to one shape.
+        With shared launches the one ``combine`` over both parts stays,
+        as its ``l2_hit_fraction`` and ``launches`` mix them.
+        """
+        if shared:
+            return combine(f"{self.name}-gemms", routed(shape) + shared)
+        memo = self.__dict__.setdefault("_segment_gemms", {})
+        key = (config, spec, shape)
+        gemm = memo.get(key)
+        if gemm is None:
+            gemm = memo[key] = combine(f"{self.name}-gemms", routed(shape))
+        return gemm
+
     def _triple(self, kernel: MatmulKernel, config: MoEModelConfig,
                 n_tokens: int, spec: GPUSpec,
                 label: str) -> list[CostBreakdown]:
@@ -222,11 +246,11 @@ class TransformersEngine(MoEEngine):
         n_e = max(1, round(work.routed_tokens_per_expert))
         # Every routed expert prices at the same mean load: one triple,
         # replicated per expert.
-        parts = self._triple(self._kernel, config, n_e, spec,
-                             "expert") * config.num_experts
-        parts.extend(self._shared_cost(self._kernel, config, tokens, spec,
-                                       shared))
-        gemm = combine(f"{self.name}-gemms", parts)
+        gemm = self._gemms(
+            config, spec, n_e,
+            lambda n: self._triple(self._kernel, config, n, spec,
+                                   "expert") * config.num_experts,
+            self._shared_cost(self._kernel, config, tokens, spec, shared))
         extra_s = (
             permutation_seconds(tokens, config.hidden_size, config.top_k,
                                 spec)
@@ -268,11 +292,10 @@ class MegaBlocksEngine(MoEEngine):
                   else num_shared)
         work = LayerWorkload(config, tokens)
         padded_tokens = work.padded_routed_tokens(self.BLOCK_ROWS)
-        parts = self._triple(self._kernel, config, padded_tokens, spec,
-                             "grouped")
-        parts.extend(self._shared_cost(self._kernel, config, tokens, spec,
-                                       shared))
-        gemm = combine(f"{self.name}-gemms", parts)
+        gemm = self._gemms(
+            config, spec, padded_tokens,
+            lambda n: self._triple(self._kernel, config, n, spec, "grouped"),
+            self._shared_cost(self._kernel, config, tokens, spec, shared))
         # Block gathering metadata pass + one fused act*up pass.
         extra_s = (_elementwise_pass_seconds(
                        padded_tokens, config.intermediate_size, spec)
@@ -306,11 +329,10 @@ class VllmEngine(MoEEngine):
                   else num_shared)
         work = LayerWorkload(config, tokens)
         padded_tokens = work.padded_routed_tokens(self.TILE_ROWS)
-        parts = self._triple(self._kernel, config, padded_tokens, spec,
-                             "fused")
-        parts.extend(self._shared_cost(self._kernel, config, tokens, spec,
-                                       shared))
-        gemm = combine(f"{self.name}-gemms", parts)
+        gemm = self._gemms(
+            config, spec, padded_tokens,
+            lambda n: self._triple(self._kernel, config, n, spec, "fused"),
+            self._shared_cost(self._kernel, config, tokens, spec, shared))
         # Fused gather/epilogue: only the routing-table pass remains.
         extra_s = tokens * config.top_k * 8 / spec.dram_bandwidth
         return replace(gemm, name=self.name,
@@ -338,11 +360,10 @@ class PitEngine(MoEEngine):
                   else num_shared)
         work = LayerWorkload(config, tokens)
         padded_tokens = work.padded_routed_tokens(self.MICRO_TILE)
-        parts = self._triple(self._kernel, config, padded_tokens, spec,
-                             "pit")
-        parts.extend(self._shared_cost(self._kernel, config, tokens, spec,
-                                       shared))
-        gemm = combine(f"{self.name}-gemms", parts)
+        gemm = self._gemms(
+            config, spec, padded_tokens,
+            lambda n: self._triple(self._kernel, config, n, spec, "pit"),
+            self._shared_cost(self._kernel, config, tokens, spec, shared))
         # The PIT transformation maintains tile index tables and performs
         # the micro-tile gather/scatter (one round trip of the inputs).
         transform = (2.0 * work.total_routed_tokens * config.hidden_size
@@ -429,22 +450,27 @@ class SamoyedsEngine(MoEEngine):
         # SSMM segment at its own padded token count.  This is where the
         # §6.2 padding discussion bites for many-expert models.
         n_e = math.ceil(work.routed_tokens_per_expert / tile_n) * tile_n
-        # All experts share the padded segment shape: price the SSMM
-        # triple once (gate and up are the same GEMM) and replicate.
-        routed_gate_up = self._kernel.cost(inter, h, n_e, spec,
-                                           n_full=tokens)
-        routed_down = self._kernel.cost(h, inter, n_e, spec,
-                                        n_full=tokens)
-        parts = [routed_gate_up, routed_gate_up,
-                 routed_down] * config.num_experts
-        if shared > 0:
-            shared_gate_up = self._kernel.cost(inter, h, tokens, spec,
-                                               n_full=tokens)
-            shared_down = self._kernel.cost(h, inter, tokens, spec,
-                                            n_full=tokens)
-            parts.extend([shared_gate_up, shared_gate_up,
-                          shared_down] * shared)
-        gemm = combine(f"{self.name}-gemms", parts)
+
+        def triple(n: int) -> list[CostBreakdown]:
+            # Gate and up are the same GEMM: price it once, list it twice.
+            gate_up = self._kernel.cost(inter, h, n, spec, n_full=tokens)
+            return [gate_up, gate_up,
+                    self._kernel.cost(h, inter, n, spec, n_full=tokens)]
+
+        # All experts share the padded segment shape: one triple,
+        # replicated per expert.
+        shared_parts = triple(tokens) * shared if shared > 0 else []
+        if self._kernel.features.layout.compressed_output:
+            # The kernel reads ``n_full`` only to price a dense output,
+            # and __init__ builds it with the default (compressed)
+            # ``LayoutPlan()``: the routed launches then depend on
+            # ``n_e`` alone and memoise by it.  Otherwise, price afresh.
+            gemm = self._gemms(
+                config, spec, n_e,
+                lambda n: triple(n) * config.num_experts, shared_parts)
+        else:
+            gemm = combine(f"{self.name}-gemms",
+                           triple(n_e) * config.num_experts + shared_parts)
         # Fused weighted accumulation: the down_proj epilogue performs an
         # fp32 read-modify-write against the shared output for every
         # routed token (plus shared-expert contributions).

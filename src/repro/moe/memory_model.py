@@ -624,15 +624,32 @@ class BlockAllocator(MemoryLedger):
         self._used_blocks += blocks
         self._enter(request_id, prompt_tokens, need_bytes)
 
+    def _grantable_blocks(self, low: int, high: int, held: int) -> int:
+        """The most blocks in ``[low, high]`` whose charge beyond the
+        first ``held`` fits in :attr:`free_bytes` (``low`` when no more
+        do).
+
+        A bisection over :meth:`block_bytes`, which is non-decreasing
+        because every term of :func:`per_sequence_bytes` is
+        non-decreasing in the context length: it returns what a walk up
+        from ``low``, one block at a time, returns.
+        """
+        free_bytes = self.free_bytes
+        held_bytes = self.block_bytes(held)
+        while low < high:
+            mid = (low + high + 1) // 2
+            if self.block_bytes(mid) - held_bytes <= free_bytes:
+                low = mid
+            else:
+                high = mid - 1
+        return low
+
     def admission_chunk(self, desired_tokens: int,
                         final_seq_len: int) -> int:
         if desired_tokens <= 0:
             return 0
-        free_bytes = self.free_bytes
-        blocks = 0
-        while (blocks < self.blocks_for(desired_tokens)
-               and self.block_bytes(blocks + 1) <= free_bytes):
-            blocks += 1
+        blocks = self._grantable_blocks(
+            0, self.blocks_for(desired_tokens), held=0)
         return min(desired_tokens, blocks * self.page_size)
 
     def clamp_growth(self, request_id: int, desired_tokens: int) -> int:
@@ -643,13 +660,9 @@ class BlockAllocator(MemoryLedger):
         context = self._context[request_id]
         if context + desired_tokens <= held * self.page_size:
             return desired_tokens      # fits in the blocks already held
-        free_bytes = self.free_bytes
-        blocks = max(held, self.blocks_for(context))
-        target = self.blocks_for(context + desired_tokens)
-        while (blocks < target and
-               self.block_bytes(blocks + 1) - self.block_bytes(held)
-               <= free_bytes):
-            blocks += 1
+        blocks = self._grantable_blocks(
+            max(held, self.blocks_for(context)),
+            self.blocks_for(context + desired_tokens), held)
         return max(0, min(desired_tokens,
                           blocks * self.page_size - context))
 

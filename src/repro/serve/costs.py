@@ -2,9 +2,8 @@
 
 The pre-calendar loop priced every step from scratch: one
 ``attention_cost`` per prefill request, one engine ``cost()`` per MoE
-evaluation, scalar Python throughout.  Profiling a 2k-request replay
-puts ~85% of the wall clock inside the analytic kernel cost model —
-called thousands of times with a handful of *distinct* argument
+evaluation, scalar Python throughout.  It called the analytic kernel
+cost model thousands of times with a handful of *distinct* argument
 tuples, because continuous batching revisits the same step shapes over
 and over.
 
@@ -18,7 +17,11 @@ them exactly:
   size (the context-dependent remainder is closed-form arithmetic);
 * the monolithic MoE engine cost (time, data-flow overhead and, for
   ``engine="auto"``, the winner ``AutoEngine.cost`` names in
-  ``detail["selected_engine"]``) by token count;
+  ``detail["selected_engine"]``) by token count.  Below it, each
+  engine memoises its routed GEMM aggregate by padded segment shape
+  (:meth:`~repro.moe.layers.MoEEngine._gemms`), so a new token count
+  that pads to a known shape simulates no kernel: every step of 1–512
+  tokens on mixtral-8x7b prices the same 128-column Samoyeds segment;
 * RMSNorm and boundary-collective seconds by token count;
 * whole steps by their exact plan signature — the tuple of prompt
   lengths, chunk slices and the decode ``(batch, context)`` pair — so

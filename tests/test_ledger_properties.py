@@ -17,6 +17,13 @@ that one-request ``grow_each`` calls, in turn, grow before the first
 refusal, and leave the same per-request state, running totals and
 ``recount()``; ``fit_count`` must predict its count without charging
 anything.
+
+A third property pins the paged grants: the bisected
+``admission_chunk`` and ``clamp_growth`` must grant what the one-block
+walk they replaced grants, for every model and engine (``auto``
+included), any page size, on one ledger and on a paged ``ep=2`` grid,
+with free bytes from below zero, through every block boundary, to a
+whole device.
 """
 
 from __future__ import annotations
@@ -271,3 +278,85 @@ def test_grow_each_equals_sequential_grow(kind, page_size, pair, ops):
                 one_by_one += 1
             assert grown == predicted == one_by_one
             assert snapshot(bulk) == snapshot(sequential)
+
+
+
+def walked_chunk(led, desired):
+    """``admission_chunk`` as the one-block walk the bisection
+    replaced."""
+    if desired <= 0:
+        return 0
+    blocks = 0
+    while (blocks < led.blocks_for(desired)
+           and led.block_bytes(blocks + 1) <= led.free_bytes):
+        blocks += 1
+    return min(desired, blocks * led.page_size)
+
+
+class PinnedFree(BlockAllocator):
+    """A paged ledger whose free bytes the test pins (``None`` leaves
+    the device's own): the grants read the pool only through
+    :attr:`free_bytes`, so pinning it reaches every block boundary
+    exactly."""
+
+    pinned_bytes: "float | None" = None
+
+    @property
+    def free_bytes(self) -> float:
+        if self.pinned_bytes is None:
+            return super().free_bytes
+        return self.pinned_bytes
+
+
+#: Every supporting (model, engine) pair plus each model under ``auto``.
+GRANT_PAIRS = PAIRS + [(model, "auto") for model in MODEL_REGISTRY]
+
+#: One device's free bytes: its own (a whole device, less the resident),
+#: a share of the largest grant, or a cumulative block charge
+#: ``block_bytes(blocks_for(tokens))``, less the resident's blocks when
+#: the flag is set, nudged by a byte.
+FREE = st.one_of(
+    st.none(), st.floats(0.0, 1.0),
+    st.tuples(st.integers(0, 8192), st.booleans(), st.integers(-1, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.sampled_from(GRANT_PAIRS),
+       gpu=st.sampled_from(("a100", "rtx4070s")),
+       page_size=st.one_of(st.sampled_from((1, 16, 256)),
+                           st.integers(1, 512)),
+       grid=st.booleans(), frees=st.lists(FREE, min_size=2, max_size=2),
+       context=st.integers(0, 4096), desired=st.integers(0, 4096))
+def test_bisected_grants_equal_the_block_walk(pair, gpu, page_size, grid,
+                                              frees, context, desired):
+    """With a ``context``-token resident, the bisected
+    ``admission_chunk`` and ``clamp_growth`` grant what the one-block
+    walk grants, on a paged ledger and on a paged ``ep=2`` grid with a
+    skewed placement, from an empty pool to a whole device."""
+    model, engine = pair
+    config = MODEL_REGISTRY[model]
+    spec = get_gpu(gpu)
+    if grid:
+        experts = config.num_experts
+        leds = [PinnedFree(config, engine, spec, parallel=ParallelPlan(ep=2),
+                           device_experts=count, page_size=page_size)
+                for count in (experts - experts // 4, experts // 4)]
+        ledger = DeviceLedgers(leds)
+    else:
+        ledger = PinnedFree(config, engine, spec, page_size=page_size)
+        leds = [ledger]
+    for led, free in zip(leds, frees):
+        led.pinned_bytes = math.inf
+        led.admit(0, context, context + desired)
+        if isinstance(free, float):
+            free *= led.block_bytes(led.blocks_for(context + desired))
+        elif free is not None:
+            tokens, beyond_resident, nudge = free
+            free = (led.block_bytes(led.blocks_for(tokens)) + nudge
+                    - (led.block_bytes(led.blocks_for(context))
+                       if beyond_resident else 0))
+        led.pinned_bytes = free
+    assert ledger.admission_chunk(desired, desired) == min(
+        walked_chunk(led, desired) for led in leds)
+    assert ledger.clamp_growth(0, desired) == min(
+        reference_clamp(led, 0, desired) for led in leds)
