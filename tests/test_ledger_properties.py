@@ -143,7 +143,8 @@ def check(ledger, shadow):
 
 
 def reference_clamp(led, rid, desired):
-    """``clamp_growth`` as the full block loop, with no early return."""
+    """``clamp_growth`` as the one-block walk the bisection replaced,
+    with no early return."""
     if desired <= 0:
         return 0
     if not isinstance(led, BlockAllocator):
@@ -278,7 +279,6 @@ def test_grow_each_equals_sequential_grow(kind, page_size, pair, ops):
                 one_by_one += 1
             assert grown == predicted == one_by_one
             assert snapshot(bulk) == snapshot(sequential)
-
 
 
 def walked_chunk(led, desired):
