@@ -450,27 +450,13 @@ class SamoyedsEngine(MoEEngine):
         # SSMM segment at its own padded token count.  This is where the
         # §6.2 padding discussion bites for many-expert models.
         n_e = math.ceil(work.routed_tokens_per_expert / tile_n) * tile_n
-
-        def triple(n: int) -> list[CostBreakdown]:
-            # Gate and up are the same GEMM: price it once, list it twice.
-            gate_up = self._kernel.cost(inter, h, n, spec, n_full=tokens)
-            return [gate_up, gate_up,
-                    self._kernel.cost(h, inter, n, spec, n_full=tokens)]
-
         # All experts share the padded segment shape: one triple,
         # replicated per expert.
-        shared_parts = triple(tokens) * shared if shared > 0 else []
-        if self._kernel.features.layout.compressed_output:
-            # The kernel reads ``n_full`` only to price a dense output,
-            # and __init__ builds it with the default (compressed)
-            # ``LayoutPlan()``: the routed launches then depend on
-            # ``n_e`` alone and memoise by it.  Otherwise, price afresh.
-            gemm = self._gemms(
-                config, spec, n_e,
-                lambda n: triple(n) * config.num_experts, shared_parts)
-        else:
-            gemm = combine(f"{self.name}-gemms",
-                           triple(n_e) * config.num_experts + shared_parts)
+        gemm = self._gemms(
+            config, spec, n_e,
+            lambda n: self._triple(self._kernel, config, n, spec,
+                                   "expert") * config.num_experts,
+            self._shared_cost(self._kernel, config, tokens, spec, shared))
         # Fused weighted accumulation: the down_proj epilogue performs an
         # fp32 read-modify-write against the shared output for every
         # routed token (plus shared-expert contributions).

@@ -20,6 +20,7 @@ Models a single decoder layer, matching the paper's measurement setup
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -634,15 +635,10 @@ class BlockAllocator(MemoryLedger):
         non-decreasing in the context length: it returns what a walk up
         from ``low``, one block at a time, returns.
         """
-        free_bytes = self.free_bytes
         held_bytes = self.block_bytes(held)
-        while low < high:
-            mid = (low + high + 1) // 2
-            if self.block_bytes(mid) - held_bytes <= free_bytes:
-                low = mid
-            else:
-                high = mid - 1
-        return low
+        return low + bisect.bisect_right(
+            range(low + 1, high + 1), self.free_bytes,
+            key=lambda blocks: self.block_bytes(blocks) - held_bytes)
 
     def admission_chunk(self, desired_tokens: int,
                         final_seq_len: int) -> int:

@@ -16,6 +16,11 @@ experiment leaves behind on a shared engine or kernel and another
 experiment reads back also shows up here.  Any intentional change to
 the modeled numbers must regenerate the file, not relax this test:
 ``PYTHONPATH=src python tests/test_experiments_golden.py``.
+
+The committed file was written by CPython 3.11 with numpy 2.4.  From
+3.12 on, ``sum()`` adds floats with compensated summation, and the
+cost model sums floats, so an interpreter from 3.12 on may differ in
+the last bit of some numbers here.
 """
 
 from __future__ import annotations
