@@ -125,8 +125,12 @@ FAST_PATH = dict(
 
 
 #: Deployments given as payloads, or a shipped config file: paths the
-#: pre-calendar loop never had.  The first two run past their KV knee
+#: pre-calendar loop never had.  The first three run past their KV knee
 #: on rtx4070s devices, so their frozen reports include preemptions.
+#: The page-7 run serves 1,500-token prompts (no whole number of pages)
+#: with 600-token outputs, so residents cross blocks at scattered steps
+#: through long decode stretches, and a full pool refuses some of those
+#: crossings mid-stretch.
 #: The multi-pool cases pin the disaggregated paths one by one:
 #: heterogeneous pools under ``slo_slack`` with a rate-limited tenant
 #: (the shipped example); a horizon that cuts with KV transfers on the
@@ -144,6 +148,23 @@ SPEC_CASES = {
             "kind": "bursty", "requests": 48, "qps": 40.0,
             "burst_factor": 8.0, "burst_len": 24, "prompt_tokens": 2048,
             "output_tokens": 48, "jitter": 0.3, "seed": 5,
+            "tenants": [
+                {"name": "interactive", "priority": 1, "share": 0.5,
+                 "ttft_slo_s": 0.5, "tpot_slo_s": 0.05},
+                {"name": "batch", "priority": 0, "share": 0.5},
+            ],
+        },
+    },
+    "tenants-chunked-page7-auto": {
+        "model": {"name": "mixtral-8x7b", "engine": "auto",
+                  "num_layers": 1},
+        "hardware": {"gpu": "rtx4070s"},
+        "serving": {"batcher": "chunked", "page_size": 7,
+                    "scheduler": "priority_slack"},
+        "workload": {
+            "kind": "bursty", "requests": 24, "qps": 5.0,
+            "burst_factor": 8.0, "burst_len": 12, "prompt_tokens": 1500,
+            "output_tokens": 600, "jitter": 0.0, "seed": 3,
             "tenants": [
                 {"name": "interactive", "priority": 1, "share": 0.5,
                  "ttft_slo_s": 0.5, "tpot_slo_s": 0.05},
