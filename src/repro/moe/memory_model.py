@@ -480,11 +480,14 @@ class MemoryLedger:
     @property
     def pool_utilisation(self) -> float:
         """Charged fraction of the post-static memory pool, in [0, 1+)."""
+        return self._utilisation(self.reserved_bytes)
+
+    def _utilisation(self, reserved_bytes: float) -> float:
+        """:attr:`pool_utilisation` with ``reserved_bytes`` charged."""
         pool_bytes = self.budget_bytes - self.static_bytes
         if pool_bytes <= 0:
             return 0.0
-        return max(0.0, (self.reserved_bytes - self.static_bytes)
-                   / pool_bytes)
+        return max(0.0, (reserved_bytes - self.static_bytes) / pool_bytes)
 
 
 @dataclass
@@ -712,6 +715,78 @@ class BlockAllocator(MemoryLedger):
                 self._used_blocks += new_blocks
                 self._resident_tokens += grown * new_tokens
         return grown
+
+    def grow_steps(self, request_ids: Sequence[int], steps: int
+                   ) -> tuple[int, list[tuple[int, float, float]]]:
+        """Grow each of the distinct ``request_ids`` by one token a step
+        for up to ``steps`` steps, stopping before the first step with a
+        growth the pool cannot back: the steps that successive one-token
+        ``grow_each(request_ids)`` calls grow whole, charged the same.
+
+        A request holds the blocks its context needs, so it crosses
+        into a new block at step ``held * page_size - context + 1`` —
+        within the first ``page_size`` steps — and every ``page_size``
+        steps after.  The crossings are replayed in those calls' order
+        — step, then the order given — with :meth:`_advance`'s
+        comparison, so the steps that fit and every charge are theirs to
+        the byte, at a full pool too.  Returns how many steps grew and,
+        for each grown step that crossed a block (steps count from 1),
+        ``(step, reserved_bytes, pool_utilisation)`` as the ledger
+        reports them after it.
+        """
+        context, blocks, page = self._context, self._blocks, self.page_size
+        budget_bytes, static_bytes = self.budget_bytes, self.static_bytes
+        block_bytes = self.block_bytes
+        # (steps before the first crossing, position, blocks held):
+        # sorted, each page-long window of steps meets the crossings in
+        # this order.
+        crossings = []
+        for position, rid in enumerate(request_ids):
+            if rid not in context:
+                self._require(rid)
+            held = blocks[rid]
+            crossings.append((held * page - context[rid], position, held))
+        crossings.sort()
+        charged_bytes = self._charged_bytes
+        charged: list[tuple[int, int]] = []    # (step, charged after it)
+        grown = max(steps, 0)
+        for window in range(-(-grown // page)):
+            start = window * page
+            if start >= grown:
+                break
+            for wait, _, held in crossings:
+                step = start + wait + 1
+                if step > grown:
+                    break
+                held += window
+                delta_bytes = block_bytes(held + 1) - block_bytes(held)
+                # The same expression as ``_advance``.
+                if delta_bytes > budget_bytes - (static_bytes
+                                                 + charged_bytes):
+                    grown = step - 1
+                    if charged and charged[-1][0] == step:
+                        charged.pop()  # the refused step grows nothing
+                    break
+                charged_bytes += delta_bytes
+                if charged and charged[-1][0] == step:
+                    charged[-1] = (step, charged_bytes)
+                else:
+                    charged.append((step, charged_bytes))
+        if not grown:
+            return 0, []
+        new_blocks = 0
+        for rid in request_ids:
+            context[rid] += grown
+            needed = self.blocks_for(context[rid])
+            new_blocks += needed - blocks[rid]
+            blocks[rid] = needed
+        if charged:
+            self._charged_bytes = charged[-1][1]
+        self._used_blocks += new_blocks
+        self._resident_tokens += grown * len(request_ids)
+        return grown, [(step, static_bytes + bytes_,
+                        self._utilisation(static_bytes + bytes_))
+                       for step, bytes_ in charged]
 
     def release(self, request_id: int) -> None:
         blocks = self._blocks.pop(request_id, 0)

@@ -148,8 +148,7 @@ class StepPricer:
         if plan.decode:
             attn += self.decode_attn(context, len(plan.decode))
         tokens = plan.total_tokens
-        winner = (self._moe_cost(tokens)[2]
-                  if self._auto and tokens > 0 else None)
+        winner = self.auto_winner(tokens)
         if not self._distributed:
             layer = attn + self.moe_seconds(tokens) \
                 + self.norm_seconds(tokens)
@@ -225,6 +224,14 @@ class StepPricer:
                 self.ctx.config, tokens, self.ctx.parallel,
                 self._cluster)
         return cached_s
+
+    def auto_winner(self, tokens: int) -> "str | None":
+        """The engine ``engine="auto"`` dispatches a step of ``tokens``
+        new tokens to: the winner its memoised MoE cost was priced with
+        (``None`` for a fixed engine or an empty step)."""
+        if not self._auto or tokens <= 0:
+            return None
+        return self._moe_cost(tokens)[2]
 
     def _moe_cost(self, tokens: int) -> "tuple[float, float, str | None]":
         """Memoised monolithic engine cost: ``(time_s, dataflow_s,

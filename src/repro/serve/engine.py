@@ -94,6 +94,7 @@ from repro.registry.selector import AutoEngine
 from repro.serve.batcher import (
     ActiveRequest,
     Batcher,
+    ChunkedPrefillBatcher,
     ContinuousBatcher,
     StepPlan,
 )
@@ -245,16 +246,19 @@ class Pool:
         self.ttft_values: list[float] = []
         self.tpot_values: list[float] = []
         self.peak_util = 0.0
-        # The uneventful-decode fast path's proof holds on plain
-        # continuous batching (the plan is exactly
-        # ``decode=tuple(running)``), conservative admission (growth
-        # never fails, so no preemption), a fixed single-device engine
-        # and a deterministic pricer (no RNG draw per step).
-        self.fast_eligible = (type(self.batcher) is ContinuousBatcher
-                              and type(self.ledger) is KVCacheTracker
+        # The uneventful-decode fast path's proof holds on the
+        # continuous and chunked batchers (with nothing waiting and
+        # nobody mid-prefill, the plan is exactly
+        # ``decode=tuple(running)``), a single-device ledger (the
+        # conservative one never refuses a growth; the paged one
+        # replays each block crossing, and the run stops before the
+        # first it refuses) and a deterministic pricer (no RNG draw per
+        # step; an ``auto`` step's winner is memoised by token count).
+        self.fast_eligible = (type(self.batcher) in (ContinuousBatcher,
+                                                     ChunkedPrefillBatcher)
+                              and type(self.ledger) in (KVCacheTracker,
+                                                        BlockAllocator)
                               and not self.pricer.stochastic
-                              and not isinstance(self.ctx.engine,
-                                                 AutoEngine)
                               and not self.sanitize)
 
     @property
@@ -266,29 +270,41 @@ class Pool:
         return tokens + self.inbound_tokens
 
     def fast_decode_run(self, manager: EventManager,
-                        samples: list[StepSample], max_steps: int) -> int:
+                        samples: list[StepSample],
+                        auto_counts: dict[str, dict[str, int]],
+                        max_steps: int) -> int:
         """Commit a run of provably uneventful pure-decode steps.
 
         The discrete-event payoff: when the calendar can prove the next
         step is a pure decode step whose completion dispatches nothing
         — no arrival inside the epsilon window, no horizon, nobody
-        reaching their output length, nothing waiting to admit — the
-        general path's outcome is fully determined, and runs of such
-        steps reduce to the pricing arithmetic plus a metrics sample.
+        reaching their output length, nothing waiting to admit, nobody
+        mid-prefill, no KV block the pool cannot back — the general
+        path's outcome is fully determined, and runs of such steps
+        reduce to the pricing arithmetic plus a metrics sample.
 
         Every committed step replays, float op for float op, what the
         general path would have done: the same pricing composition as
         :meth:`StepPricer._price` for a decode-only plan, the same
         ``max(clock, clock + step_s)`` clock update, the same per-step
         sample values (``live_bytes`` from the ledger's resident-token
-        total, every running request one token further per step).
-        Only the work whose outcome is already known is skipped —
-        planning, per-step ledger growth (one ``grow_each`` call
-        afterwards), the preemption machinery and the finish scan.
-        Stops *before* any step boundary where an event could be due,
-        leaving that step to the general path.  Commits at most ``max_steps`` steps
-        and returns how many it committed.  Only sound when this pool
-        is the run's only pool and :attr:`fast_eligible` holds.
+        total, ``reserved_bytes`` and ``pool_util`` as the ledger
+        reports them after the step, every running request one token
+        further per step).  Only the work whose outcome is already
+        known is skipped — planning, per-step ledger growth, the
+        preemption machinery and the finish scan.  The run's growth is
+        charged afterwards in one call: ``grow_each`` on a conservative
+        ledger, which never refuses; on a paged one
+        :meth:`~repro.moe.memory_model.BlockAllocator.grow_steps`,
+        which replays every block crossing in the general path's order
+        (step, then arrival) and grows only the steps before the first
+        it refuses, whose samples are dropped.  An ``auto`` pool
+        credits the committed steps to the batch's memoised winner in
+        ``auto_counts["decode"]``.  Stops *before* any step boundary
+        where an event could be due or a growth is refused, leaving
+        that step to the general path.  Commits at most ``max_steps``
+        steps and returns how many it committed.  Only sound when this
+        pool is the run's only pool and :attr:`fast_eligible` holds.
         """
         running = self.running
         if not running or not all(ar.prefilled for ar in running):
@@ -354,11 +370,46 @@ class Pool:
                                reserved_bytes, util, 0.0, step_s))
         if not committed:
             return 0
+        if self.page_size:
+            # The general path grows a decode step's residents in
+            # arrival order; the samples so far carry the run's opening
+            # charge.
+            first = len(samples) - committed
+            grown, crossed = ledger.grow_steps(
+                [ar.request.rid for ar in sorted(running,
+                                                 key=_arrival_order)],
+                committed)
+            if grown < committed:
+                # The next step needs a block the pool cannot back: the
+                # general path preempts for it.
+                del samples[first + grown:]
+                committed = grown
+                if not committed:
+                    return 0
+                clock, busy_s = manager.clock, self.busy_s
+                for sample in samples[first:]:
+                    when = clock + sample.step_s
+                    clock = clock if clock >= when else when
+                    busy_s += sample.step_s
+            ends = [step for step, _, _ in crossed[1:]]
+            ends.append(committed + 1)
+            for (step, reserved_bytes, util), end in zip(crossed, ends):
+                for sample in samples[first + step - 1:first + end - 1]:
+                    sample.reserved_bytes = reserved_bytes
+                    sample.pool_util = util
+            if util > self.peak_util:
+                self.peak_util = util
+        else:
+            ledger.grow_each([ar.request.rid for ar in running], committed)
         self.busy_s = busy_s
+        self.steps += committed
         manager.clock = clock
         for ar in running:
             ar.generated += committed
-        ledger.grow_each([ar.request.rid for ar in running], committed)
+        winner = pricer.auto_winner(batch)
+        if winner is not None:
+            counts = auto_counts.setdefault("decode", {})
+            counts[winner] = counts.get(winner, 0) + committed
         return committed
 
     def cluster_report(self) -> dict[str, object] | None:
@@ -774,7 +825,8 @@ class ServingLoop:
                 break                  # trace fully served
             if fast is not None and not fast.waiting:
                 committed = fast.fast_decode_run(
-                    manager, collector.samples, max_steps - steps)
+                    manager, collector.samples, auto_counts,
+                    max_steps - steps)
                 if committed:
                     steps += committed
                     continue

@@ -24,6 +24,11 @@ walk they replaced grants, for every model and engine (``auto``
 included), any page size, on one ledger and on a paged ``ep=2`` grid,
 with free bytes from below zero, through every block boundary, to a
 whole device.
+
+A fourth pins the K-step decode growth of the fast path:
+``BlockAllocator.grow_steps`` must grow the steps that one-token
+``grow_each`` calls grow whole, report the charge after each of them,
+and leave the same ledger, with the pool's budget on a byte boundary.
 """
 
 from __future__ import annotations
@@ -360,3 +365,79 @@ def test_bisected_grants_equal_the_block_walk(pair, gpu, page_size, grid,
         walked_chunk(led, desired) for led in leds)
     assert ledger.clamp_growth(0, desired) == min(
         reference_clamp(led, 0, desired) for led in leds)
+
+
+#: Where the pool's budget sits: ``None`` leaves it unbounded, else
+#: ``(crossing, nudge, offset)`` pins it ``nudge`` bytes past the
+#: cumulative charge after that crossing of the run (in the one-token
+#: calls' order) and, unless ``offset`` is ``None``, pins the static
+#: charge ``offset`` bytes below ``2**33`` less the charge before that
+#: crossing.  The sums a comparison forms then round (to the 2**-19
+#: grid above 2**33) past that charge and stay exact below it, so which
+#: sums each comparison forms decides a byte boundary.
+PIN = st.one_of(st.none(), st.tuples(
+    st.integers(0, 10**6), st.integers(-1, 1),
+    st.one_of(st.none(), st.sampled_from((2.0**-20, 0.5, 1 - 2.0**-20)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.sampled_from(GRANT_PAIRS),
+       page_size=st.one_of(st.sampled_from((1, 7, 16, 512)),
+                           st.integers(1, 512)),
+       contexts=st.lists(st.integers(0, 2048), min_size=1, max_size=8),
+       steps=st.integers(0, 80), data=st.data(), pin=PIN)
+# Both residents cross at step 1: resident 1 into a 67 MB block (its
+# routed tokens outgrow a 128-row megablocks segment), resident 0 into a
+# 65 KB one.  The budget is pinned at the step's end, and the sums past
+# resident 0's growth round down, so the 67 MB growth is refused here
+# and fits if the order within the step is reversed.
+@example(pair=("mixtral-8x7b", "megablocks"), page_size=1,
+         contexts=[10, 512], steps=1, data=None, pin=(2, 0, 1 - 2.0**-20))
+def test_grow_steps_equals_one_token_steps(pair, page_size, contexts, steps,
+                                           data, pin):
+    """``grow_steps(order, K)`` against K one-token ``grow_each(order)``
+    calls on a twin that stop before the first call with a refusal: the
+    same steps grown, the reported (reserved, utilisation) after each
+    step that crossed a block equal to the twin's, no other step
+    changing the twin's charge, and the same final ledger.  ``_advance``
+    reads ``budget_bytes`` itself, so that is what is pinned."""
+    model, engine = pair
+    order = (data.draw(st.permutations(range(len(contexts))))
+             if data is not None else list(range(len(contexts))))
+
+    def ledger():
+        led = BlockAllocator(MODEL_REGISTRY[model], engine,
+                             get_gpu("rtx4070s"), page_size=page_size)
+        led.budget_bytes = math.inf
+        for rid, context in enumerate(contexts):
+            led.admit(rid, context, context + steps)
+        return led
+
+    probe, run, twin = ledger(), ledger(), ledger()
+    crossed = [probe.charged_bytes]     # the charge after each crossing
+    for _ in range(steps):
+        for rid in order:
+            probe.grow_each((rid,))
+            if probe.charged_bytes != crossed[-1]:
+                crossed.append(probe.charged_bytes)
+    if pin is not None:
+        index, nudge, offset = pin
+        index %= len(crossed)
+        for led in (run, twin):
+            if offset is not None:
+                led.static_bytes = (2.0**33 - crossed[max(index - 1, 0)]
+                                    - offset)
+            led.budget_bytes = led.static_bytes + crossed[index] + nudge
+    grown, reported = run.grow_steps(order, steps)
+    fit, expected = 0, []
+    charged_bytes = twin.charged_bytes
+    while fit < steps and twin.fit_count(order) == len(order):
+        assert twin.grow_each(order) == len(order)
+        fit += 1
+        if twin.charged_bytes != charged_bytes:
+            charged_bytes = twin.charged_bytes
+            expected.append((fit, twin.reserved_bytes,
+                             twin.pool_utilisation))
+    assert grown == fit
+    assert reported == expected
+    assert snapshot(run) == snapshot(twin)

@@ -7,18 +7,26 @@ an emergent concurrency limit; TTFT/TPOT percentiles are deterministic
 under a fixed RNG seed.
 """
 
+import itertools
+import json
+
 import pytest
 
 from repro.context import ExecutionContext
 from repro.errors import CapacityError, ConfigError
 from repro.hw import get_gpu
 from repro.moe import MODEL_REGISTRY
-from repro.moe.memory_model import KVCacheTracker, footprint
+from repro.moe.memory_model import (
+    BlockAllocator,
+    KVCacheTracker,
+    footprint,
+)
 from repro.serve import (
     ChunkedPrefillBatcher,
     ContinuousBatcher,
     StaticBatcher,
     bursty_trace,
+    make_batcher,
     poisson_trace,
     replay_trace,
 )
@@ -292,3 +300,77 @@ class TestLifecycle:
         first = server.run(trace)
         second = server.run(trace)
         assert first.completed == second.completed == 6
+
+
+def count_fast_steps(engine):
+    """The steps each fast run of ``engine``'s pool commits, as a list
+    the runs append to."""
+    committed = []
+    fast_run = engine.pool.fast_decode_run
+
+    def counted(*args):
+        committed.append(fast_run(*args))
+        return committed[-1]
+
+    engine.pool.fast_decode_run = counted
+    return committed
+
+
+#: Every (batcher, page size, engine) the fast path proves runs for.
+FAST_CASES = list(itertools.product(("continuous", "chunked"),
+                                    (None, 1, 16), ("samoyeds", "auto")))
+
+
+class TestFastPath:
+    """The uneventful-decode fast path changes no byte of a report."""
+
+    def test_pool_steps_count_fast_steps(self, ctx):
+        engine = ServingEngine(ctx=ctx, num_layers=1, seed=SEED,
+                               sanitize=False)
+        committed = count_fast_steps(engine)
+        report = engine.run(poisson_trace(
+            12, 5.0, prompt_tokens=128, output_tokens=200, jitter=0.5,
+            seed=1))
+        assert sum(committed) > 0
+        assert engine.pool.steps == report.steps
+
+    @pytest.mark.parametrize(
+        "batcher,page_size,engine", FAST_CASES,
+        ids=[f"{b}-{'conservative' if p is None else f'page{p}'}-{e}"
+             for b, p, e in FAST_CASES])
+    def test_report_equals_sanitized(self, monkeypatch, batcher,
+                                     page_size, engine):
+        """A trace past the rtx4070s KV knee, served with the fast path
+        and with the sanitizer (which turns it off), gives the same
+        report byte for byte, and the fast path committed steps.  Every
+        paged case preempts; on Samoyeds a refused block crossing also
+        cuts fast runs short."""
+        cut = []
+        grow_steps = BlockAllocator.grow_steps
+
+        def counted_growth(ledger, request_ids, steps):
+            grown, crossed = grow_steps(ledger, request_ids, steps)
+            cut.append(grown < steps)
+            return grown, crossed
+
+        monkeypatch.setattr(BlockAllocator, "grow_steps", counted_growth)
+        ctx = ExecutionContext.create("mixtral-8x7b", engine, "rtx4070s")
+        trace = poisson_trace(40, 200.0, prompt_tokens=2000,
+                              output_tokens=400, jitter=0.5, seed=3)
+
+        def report(sanitize):
+            server = ServingEngine(
+                ctx=ctx, batcher=make_batcher(batcher), num_layers=1,
+                seed=5, page_size=page_size, sanitize=sanitize)
+            committed = count_fast_steps(server)
+            result = server.run(trace)
+            return json.dumps(result.to_dict(), sort_keys=True), committed
+
+        fast, committed = report(False)
+        checked, unused = report(True)
+        assert fast == checked
+        assert sum(committed) > 0 and not any(unused)
+        if page_size is not None:
+            assert json.loads(fast)["preemptions"] > 0
+            if engine == "samoyeds":
+                assert any(cut)

@@ -11,8 +11,10 @@ loop later: ``paged-preempt`` while it still grew each resident with
 its own ledger call, and ``prompt-preempt`` and
 ``chunked-prompt-preempt`` while it still grew decodes, whole prompts
 and last chunks in three loops.  The deployment
-fixtures (a tenant-scheduled chunked/paged ``auto`` run and four
-multi-pool runs) pin the paths that loop never had.  Any intentional
+fixtures (two tenant-scheduled chunked/paged ``auto`` runs, at page 16
+and at page 7, and four multi-pool runs) pin the paths that loop never
+had; the page-7 run was frozen before the uneventful-decode fast path
+took paged, chunked and ``auto`` runs.  Any intentional
 behaviour change must regenerate the files, not relax this test:
 ``PYTHONPATH=src python tests/test_serve_golden.py``.
 """
