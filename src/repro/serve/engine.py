@@ -298,13 +298,14 @@ class Pool:
         :meth:`~repro.moe.memory_model.BlockAllocator.grow_steps`,
         which replays every block crossing in the general path's order
         (step, then arrival) and grows only the steps before the first
-        it refuses, whose samples are dropped.  An ``auto`` pool
-        credits the committed steps to the batch's memoised winner in
-        ``auto_counts["decode"]``.  Stops *before* any step boundary
-        where an event could be due or a growth is refused, leaving
-        that step to the general path.  Commits at most ``max_steps``
-        steps and returns how many it committed.  Only sound when this
-        pool is the run's only pool and :attr:`fast_eligible` holds.
+        it refuses; the samples of the later steps are dropped.  An
+        ``auto`` pool credits the committed steps to the batch's
+        memoised winner in ``auto_counts["decode"]``.  Stops *before*
+        any step boundary where an event could be due or a growth is
+        refused, leaving that step to the general path.  Commits at
+        most ``max_steps`` steps and returns how many it committed.
+        Only sound when this pool is the run's only pool and
+        :attr:`fast_eligible` holds.
         """
         running = self.running
         if not running or not all(ar.prefilled for ar in running):

@@ -367,9 +367,9 @@ class TestFastPath:
             return json.dumps(result.to_dict(), sort_keys=True), committed
 
         fast, committed = report(False)
-        checked, unused = report(True)
+        checked, sanitized_committed = report(True)
         assert fast == checked
-        assert sum(committed) > 0 and not any(unused)
+        assert sum(committed) > 0 and not any(sanitized_committed)
         if page_size is not None:
             assert json.loads(fast)["preemptions"] > 0
             if engine == "samoyeds":
