@@ -12,10 +12,12 @@ its own ledger call, and ``prompt-preempt`` and
 ``chunked-prompt-preempt`` while it still grew decodes, whole prompts
 and last chunks in three loops.  The deployment
 fixtures (two tenant-scheduled chunked/paged ``auto`` runs, at page 16
-and at page 7, and four multi-pool runs) pin the paths that loop never
+and at page 7, and five multi-pool runs) pin the paths that loop never
 had; the page-7 run was frozen before the uneventful-decode fast path
-took paged, chunked and ``auto`` runs.  Any intentional
-behaviour change must regenerate the files, not relax this test:
+took paged, chunked and ``auto`` runs, and ``disagg-tenants-preempt``
+while each preemption victim still came from a scan of every resident.
+Any intentional behaviour change must regenerate the files, not relax
+this test:
 ``PYTHONPATH=src python tests/test_serve_golden.py``.
 """
 
@@ -139,6 +141,13 @@ FAST_PATH = dict(
 #: wire, chunked prefill, migrations blocked on decode admission and a
 #: decode-pool eviction re-routed to prefill; and ``RateRefill``
 #: wake-ups plus an arrival rejected by its tenant's token bucket.
+#: ``disagg-tenants-preempt`` runs ``priority_slack`` over continuous
+#: prefill pools and a tight paged rtx4070s decode pool: its evictions
+#: re-route into priority-ordered prefill queues.  Three tenants mix
+#: the SLO shapes (both SLOs, TTFT only, none); the lowest class holds
+#: the first two, so a decode victim is the TTFT-only tenant (no TPOT
+#: deadline: infinite slack) while one is resident, else the both-SLO
+#: request with the most slack.
 SPEC_CASES = {
     "tenants-chunked-paged-auto": {
         "model": {"name": "mixtral-8x7b", "engine": "auto",
@@ -208,6 +217,33 @@ SPEC_CASES = {
         "workload": {"kind": "poisson", "requests": 48, "qps": 200.0,
                      "prompt_tokens": 3072, "output_tokens": 128,
                      "jitter": 0.5, "seed": 11},
+    },
+    "disagg-tenants-preempt": {
+        "model": {"name": "mixtral-8x7b", "engine": "samoyeds",
+                  "num_layers": 1},
+        "hardware": {"gpu": "a100"},
+        "serving": {
+            "scheduler": "priority_slack",
+            "router": "least_outstanding_tokens",
+            "transfer_link": "pcie4", "page_size": 16,
+            "pools": [
+                {"name": "pf-a", "role": "prefill", "gpu": "h100"},
+                {"name": "pf-b", "role": "prefill", "gpu": "h100"},
+                {"name": "dc", "role": "decode", "gpu": "rtx4070s"},
+            ],
+        },
+        "workload": {
+            "kind": "bursty", "requests": 64, "qps": 200.0,
+            "burst_factor": 8.0, "burst_len": 24, "prompt_tokens": 2048,
+            "output_tokens": 384, "jitter": 0.5, "seed": 5,
+            "tenants": [
+                {"name": "chat", "priority": 0, "share": 0.5,
+                 "ttft_slo_s": 0.3, "tpot_slo_s": 0.05},
+                {"name": "search", "priority": 0, "share": 0.1,
+                 "ttft_slo_s": 0.5},
+                {"name": "internal", "priority": 1, "share": 0.4},
+            ],
+        },
     },
     "disagg-tenants-ratelimit": {
         "model": {"name": "mixtral-8x7b", "engine": "samoyeds",
