@@ -17,7 +17,14 @@ check, on every operation:
   exactly the prefix it reports, on every device;
 * **step pricer** (:class:`SanitizedStepPricer`) — memo purity: a
   sampled step is re-priced through a *fresh* memo-less pricer and
-  must match the memoised answer within :data:`MEMO_TOL`.
+  must match the memoised answer within :data:`MEMO_TOL`;
+* **scheduling** — victim order (:class:`SanitizedResidentIndex`):
+  every preemption victim a pool's resident index picks is re-derived
+  by the full ``max(running, key=policy.victim_key(...))`` scan and
+  must be the very same request; queue order
+  (:func:`check_queue_order`): under a policy that reorders the queue,
+  each planning pass finds the waiting queue strictly ascending in
+  ``policy.queue_key``.
 
 Violations raise :class:`~repro.errors.SanitizerError` carrying the
 invariant name and the event/request/step involved, so the failure
@@ -41,13 +48,18 @@ from repro.moe.memory_model import (
     DeviceLedgers,
     MemoryLedger,
 )
-from repro.serve.costs import StepPricer
+from repro.serve.costs import StepPricer, decode_context
 from repro.serve.events import Event, EventManager, EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from typing import Callable, Sequence
+    from collections import deque
+    from typing import Callable, Mapping, Sequence
 
-    from repro.serve.batcher import StepPlan
+    from repro.serve.batcher import ActiveRequest, StepPlan
+    from repro.serve.metrics import RequestRecord
+    from repro.serve.scheduling import ResidentIndex, SchedulingPolicy
+    from repro.workloads.tenants import TenantSpec
+    from repro.workloads.traces import Request
 
 #: Absolute tolerance for the memo-purity re-price comparison.
 MEMO_TOL = 1e-12
@@ -590,8 +602,7 @@ class SanitizedStepPricer(StepPricer):
         if self._priced_steps != 1 \
                 and self._priced_steps % self._check_every:
             return priced
-        context = (sum(ar.context_tokens for ar in plan.decode)
-                   if plan.decode else 0)
+        context = decode_context(plan.decode)
         fresh = StepPricer(self.ctx, self._layers, self._popularity,
                            self._rng, placement=self._placement,
                            cluster=self._cluster)
@@ -606,3 +617,68 @@ class SanitizedStepPricer(StepPricer):
                 fresh=(step_s, comm_s, winner),
                 step_tokens=plan.total_tokens)
         return priced
+
+
+# ----------------------------------------------------------------------
+# Scheduling
+# ----------------------------------------------------------------------
+class SanitizedResidentIndex:
+    """Victim-order checking wrapper around one pool's resident index.
+
+    Updates delegate untouched (``__getattr__``).  Every ``victim`` is
+    re-derived by the scan the index replaces — ``max`` of the pool's
+    ``running`` list under ``policy.victim_key`` — and must be the very
+    same object, so a wrong rank, a missed tie or a resident the engine
+    never told the index about surfaces at the pick it changes.
+    """
+
+    def __init__(self, inner: "ResidentIndex",
+                 running: "list[ActiveRequest]",
+                 policy: "SchedulingPolicy",
+                 records: "Mapping[int, RequestRecord]",
+                 tenants: "Mapping[str, TenantSpec]") -> None:
+        self._inner = inner
+        self._running = running
+        self._policy = policy
+        self._records = records
+        self._tenants = tenants
+
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)
+
+    def victim(self, clock: float) -> "ActiveRequest":
+        policy, records, tenants = (self._policy, self._records,
+                                    self._tenants)
+        expected = max(self._running, key=lambda ar: policy.victim_key(
+            ar, clock, records.get(ar.request.rid),
+            tenants.get(ar.request.tenant)))
+        victim = self._inner.victim(clock)
+        if victim is not expected:
+            raise SanitizerError(
+                "victim order",
+                f"the resident index evicts request "
+                f"{victim.request.rid} at clock {clock!r}, but the "
+                f"{policy.name} victim_key scan evicts request "
+                f"{expected.request.rid}",
+                clock=clock, picked=victim.request.rid,
+                expected=expected.request.rid,
+                residents=len(self._running))
+        return victim
+
+
+def check_queue_order(pool: str, waiting: "deque[Request]",
+                      policy: "SchedulingPolicy",
+                      tenants: "Mapping[str, TenantSpec]") -> None:
+    """Queue order: ``waiting`` is strictly ascending in
+    ``policy.queue_key`` (a total order, so no two keys tie)."""
+    keys = [policy.queue_key(req, tenants.get(req.tenant))
+            for req in waiting]
+    for position in range(1, len(keys)):
+        if not keys[position - 1] < keys[position]:
+            raise SanitizerError(
+                "queue order",
+                f"pool {pool!r} plans with request "
+                f"{waiting[position - 1].rid} queued ahead of request "
+                f"{waiting[position].rid} against {policy.name}'s "
+                "queue_key", pool=pool, position=position,
+                ahead=keys[position - 1], behind=keys[position])

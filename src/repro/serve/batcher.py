@@ -30,6 +30,8 @@ import abc
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import filterfalse
+from operator import attrgetter
 
 from repro.errors import ConfigError
 from repro.moe.memory_model import DeviceLedgers, MemoryLedger
@@ -38,6 +40,8 @@ from repro.workloads.traces import Request
 #: Batchers speak the shared admission interface: a single-device
 #: ledger or the per-device composite of a multi-GPU grid.
 LedgerLike = MemoryLedger | DeviceLedgers
+
+_PREFILLED = attrgetter("prefilled")
 
 
 @dataclass(eq=False)
@@ -227,10 +231,10 @@ class ChunkedPrefillBatcher(BudgetedBatcher):
     def plan_step(self, clock: float, waiting: "deque[Request]",
                   running: list[ActiveRequest], tracker: LedgerLike,
                   more_arrivals: bool) -> StepPlan:
-        decode = tuple(ar for ar in running if ar.prefilled)
+        decode = tuple(filter(_PREFILLED, running))
         budget = self.token_budget - len(decode)
         chunks: list[PrefillChunk] = []
-        partial = next((ar for ar in running if not ar.prefilled), None)
+        partial = next(filterfalse(_PREFILLED, running), None)
         in_flight = partial is not None
         if partial is not None and budget > 0:
             remaining_tokens = (partial.request.prompt_tokens

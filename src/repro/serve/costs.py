@@ -46,6 +46,7 @@ norms, data-flow, the per-``n_e`` segment triples) hit memos.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import InternalError
@@ -64,15 +65,27 @@ from repro.moe.scheduler import (
 from repro.registry.selector import AutoEngine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from typing import Sequence
+
     from repro.context import ExecutionContext
     from repro.hw.interconnect import ClusterSpec
     from repro.moe.scheduler import ExpertPlacement
-    from repro.serve.batcher import StepPlan
+    from repro.serve.batcher import ActiveRequest, StepPlan
 
 #: A priced step: (total seconds, communication seconds — both scaled
 #: to all layers — and the auto-dispatch winner name, ``None`` for
 #: fixed engines or empty steps).
 PricedStep = "tuple[float, float, str | None]"
+
+_PREFILLED_TOKENS = attrgetter("prefilled_tokens")
+_GENERATED = attrgetter("generated")
+
+
+def decode_context(decode: "Sequence[ActiveRequest]") -> int:
+    """Cached tokens a decode batch attends to: the sum of its
+    requests' ``context_tokens``."""
+    return (sum(map(_PREFILLED_TOKENS, decode))
+            + sum(map(_GENERATED, decode)))
 
 
 class StepPricer:
@@ -123,8 +136,7 @@ class StepPricer:
         ``auto_winner`` names the engine the cost-driven selector
         dispatched this step to, ``None`` off the auto path.
         """
-        context = (sum(ar.context_tokens for ar in plan.decode)
-                   if plan.decode else 0)
+        context = decode_context(plan.decode)
         if self.stochastic:
             return self._price(plan, context)
         sig = (tuple(ar.request.prompt_tokens for ar in plan.prefill),

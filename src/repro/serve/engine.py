@@ -38,9 +38,12 @@ when ``page_size`` is set — so each engine's sustainable concurrency
 model that reproduces Table 3.
 
 Under paged allocation a decode step can fail to allocate its next KV
-block; the engine then *preempts* the youngest resident request
-(latest arrival): its blocks are released and the request returns to
-the front of the waiting queue to be recomputed on readmission
+block; the engine then *preempts* the scheduling policy's victim (the
+youngest resident request under the default policy), which each pool
+keeps ready in an ordered resident index
+(:class:`~repro.serve.scheduling.ResidentIndex`): its blocks are
+released and the request returns to the waiting queue (its front,
+unless the policy orders the queue) to be recomputed on readmission
 (vLLM's recompute preemption).  Generation restarts from the prompt,
 but the request's first recorded TTFT is kept.  Preemptions surface as
 :class:`~repro.serve.events.Preempt` events dispatched at the instant
@@ -69,6 +72,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.context import ExecutionContext
@@ -76,7 +80,9 @@ from repro.errors import CapacityError, ConfigError, InternalError
 from repro.analysis.sanitizer import (
     KVTransferAuditor,
     SanitizedEventManager,
+    SanitizedResidentIndex,
     SanitizedStepPricer,
+    check_queue_order,
     sanitize_enabled,
     wrap_ledger,
 )
@@ -98,7 +104,7 @@ from repro.serve.batcher import (
     ContinuousBatcher,
     StepPlan,
 )
-from repro.serve.costs import StepPricer
+from repro.serve.costs import StepPricer, decode_context
 from repro.serve.events import (
     CLOCK_EPS,
     Arrival,
@@ -118,7 +124,7 @@ from repro.serve.metrics import (
     summarise,
 )
 from repro.workloads.traces import Request, validate_trace
-from repro.serve.scheduling import AdmissionGate, make_scheduler
+from repro.serve.scheduling import AdmissionGate, QueueOrder, make_scheduler
 from repro.utils.rng import new_rng
 from repro.workloads.tenants import TenantSpec, validate_tenants
 
@@ -131,8 +137,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 POOL_ROLES = ("prefill", "decode", "both")
 
 
-def _arrival_order(ar: ActiveRequest) -> tuple[float, int]:
-    return (ar.request.arrival_s, ar.request.rid)
+#: ``(arrival_s, rid)`` of an active request: the order a step grows
+#: its decodes in.
+ARRIVAL_ORDER = attrgetter("request.arrival_s", "request.rid")
+#: A request's id, for the ledgers.
+REQUEST_ID = attrgetter("request.rid")
 
 
 class Pool:
@@ -144,7 +153,9 @@ class Pool:
     across runs).  :meth:`start` gives every run a fresh memory
     ledger, queues (``waiting``, ``running``), in-flight plan, transfer
     bookkeeping (``outbound``, ``inbound_tokens``) and report
-    statistics, which :class:`ServingLoop` reads and updates.
+    statistics, which :class:`ServingLoop` reads and updates; the loop
+    adds the run's index of ``running`` in eviction order
+    (``residents``, a :class:`~repro.serve.scheduling.ResidentIndex`).
 
     Args:
         ctx: Execution context (model, engine, device, parallel plan).
@@ -320,7 +331,7 @@ class Pool:
         pricer = self.pricer
         ledger = self.ledger
         batch = len(running)
-        context_tokens = sum(ar.context_tokens for ar in running)
+        context_tokens = decode_context(running)
         moe_s = pricer.moe_seconds(batch)
         norm_s = pricer.norm_seconds(batch)
         layers = self.layers
@@ -377,8 +388,7 @@ class Pool:
             # charge.
             first = len(samples) - committed
             grown, crossed = ledger.grow_steps(
-                [ar.request.rid for ar in sorted(running,
-                                                 key=_arrival_order)],
+                [*map(REQUEST_ID, sorted(running, key=ARRIVAL_ORDER))],
                 committed)
             if grown < committed:
                 # The next step needs a block the pool cannot back: the
@@ -401,7 +411,7 @@ class Pool:
             if util > self.peak_util:
                 self.peak_util = util
         else:
-            ledger.grow_each([ar.request.rid for ar in running], committed)
+            ledger.grow_each([*map(REQUEST_ID, running)], committed)
         self.busy_s = busy_s
         self.steps += committed
         manager.clock = clock
@@ -487,16 +497,25 @@ class ServingLoop:
         """
         validate_trace(trace)
         sanitize = any(pool.sanitize for pool in pools)
+        records = {req.rid: RequestRecord(req) for req in trace}
+        policy = self.policy
+        table = {t.name: t for t in self.tenants}
         for index, pool in enumerate(pools):
             pool.start(index, sanitize)
-        records = {req.rid: RequestRecord(req) for req in trace}
+            residents = policy.resident_index(records, table)
+            pool.residents = (
+                SanitizedResidentIndex(residents, pool.running, policy,
+                                       records, table)
+                if sanitize else residents)
+        # Under a queue-reordering policy every queue stays in its
+        # order: arrivals and requeued victims insert at their key.
+        queue_order = (QueueOrder(policy, table) if policy.reorders_queue
+                       else None)
         collector = MetricsCollector()
         served = ServedRun(collector, list(records.values()))
         manager = SanitizedEventManager() if sanitize else EventManager()
         queue = manager.queue
         auditor = KVTransferAuditor() if sanitize else None
-        policy = self.policy
-        table = {t.name: t for t in self.tenants}
         # Stable name order everywhere scheduling iterates pools: the
         # deterministic half of the routers' ``(pool_name, rid)``
         # tie-break.
@@ -537,11 +556,6 @@ class ServingLoop:
             return router.select(candidates, req, table.get(req.tenant),
                                  phase)
 
-        def victim_key(ar: ActiveRequest):
-            return policy.victim_key(ar, manager.clock,
-                                     records.get(ar.request.rid),
-                                     table.get(ar.request.tenant))
-
         def evict(pool: Pool, victim: ActiveRequest,
                   evicted: set[int]) -> None:
             """Preempt ``victim``: free its blocks, requeue it for
@@ -556,9 +570,13 @@ class ServingLoop:
             req = victim.request
             pool.ledger.release(req.rid)
             pool.running.remove(victim)
+            pool.residents.remove(victim)
             home = (pool if pool.serves_prefill
                     else route(prefill_pools, req, "prefill"))
-            home.waiting.appendleft(req)
+            if queue_order is None:
+                home.waiting.appendleft(req)
+            else:
+                queue_order.insert(home.waiting, req)
             evicted.add(req.rid)
             manager.emit(Preempt(when=manager.clock, victim_rid=req.rid,
                                  tenant=req.tenant))
@@ -580,7 +598,7 @@ class ServingLoop:
             ledger = pool.ledger
             running = pool.running
             while True:
-                victim = max(running, key=victim_key)
+                victim = pool.residents.victim(manager.clock)
                 if victim is ar and len(running) == 1 and not pool.outbound:
                     total_tokens = ar.request.total_tokens
                     raise CapacityError(
@@ -604,6 +622,7 @@ class ServingLoop:
             if record.first_token_s is None:
                 record.first_token_s = clock
                 pool.ttft_values.append(clock - ar.request.arrival_s)
+            pool.residents.first_token(ar)
 
         def migrate(ar: ActiveRequest, src: Pool) -> bool:
             """Start ``ar``'s KV transfer out of ``src`` if the decode
@@ -640,7 +659,7 @@ class ServingLoop:
 
         def retry_migrations() -> None:
             blocked = sorted(pending,
-                             key=lambda item: _arrival_order(item[0]))
+                             key=lambda item: ARRIVAL_ORDER(item[0]))
             pending.clear()
             for ar, src in blocked:
                 if not migrate(ar, src):
@@ -671,7 +690,11 @@ class ServingLoop:
                 # of waiting admits it.  Reject at the door.
                 collector.reject(req.tenant)
                 return
-            route(prefill_pools, req, "prefill").waiting.append(req)
+            waiting = route(prefill_pools, req, "prefill").waiting
+            if queue_order is None:
+                waiting.append(req)
+            else:
+                queue_order.insert(waiting, req)
 
         def on_preempt(event: Preempt) -> None:
             collector.preempt(event.tenant)
@@ -696,6 +719,7 @@ class ServingLoop:
                                     / src.ctx.parallel.ep),
                     src_ledger=src.ledger, dst_ledger=dst.ledger)
             dst.running.append(ar)
+            dst.residents.add(ar)
             dst.inbound_tokens -= max(ar.request.total_tokens
                                       - ar.context_tokens, 0)
             by_rid = served.transfer_s_by_rid
@@ -720,10 +744,13 @@ class ServingLoop:
             pool.comm_s += event.comm_s
             ledger = pool.ledger
             running = pool.running
+            residents = pool.residents
             evicted: set[int] = set()
             # Every ledger-charged request must be resident before any
             # growth, so preemption can see (and evict) all of them.
             running.extend(plan.prefill)
+            for ar in plan.prefill:
+                residents.add(ar)
             # Grow every token the step produced, in one order: the
             # decodes, oldest arrival first, then the prompts it
             # finished (whole prefills, then last chunks).  Under paged
@@ -735,7 +762,7 @@ class ServingLoop:
             # token, or a prompt's first) before a victim is chosen for
             # it or for any later request, so the scheduling policy
             # sees what one growth call per request would show it.
-            order = sorted(plan.decode, key=_arrival_order)
+            order = sorted(plan.decode, key=ARRIVAL_ORDER)
             if plan.prefill or plan.chunks:
                 for chunk in plan.chunks:
                     chunk.ar.prefilled_tokens += chunk.tokens
@@ -745,13 +772,16 @@ class ServingLoop:
                         record.admitted_s = ar.admitted_s
                 order += plan.prefill
                 order += [chunk.ar for chunk in plan.chunks if chunk.completes]
+            finishers: list[ActiveRequest] = []
             while order:
-                grown = ledger.grow_each([ar.request.rid for ar in order])
+                grown = ledger.grow_each([*map(REQUEST_ID, order)])
                 for ar in order[:grown + 1]:       # the refused one too
                     if ar.prefilled:               # a decode
                         ar.generated += 1
                     else:                          # a finished prompt
                         first_token(pool, ar, clock)
+                    if ar.generated >= ar.request.output_tokens:
+                        finishers.append(ar)
                 if grown == len(order):
                     break
                 make_room(pool, order[grown], evicted)
@@ -762,9 +792,10 @@ class ServingLoop:
                 # elsewhere: start (or queue) their KV migration.
                 movers = sorted((ar for ar in running
                                  if ar.prefilled and not ar.finished),
-                                key=_arrival_order)
+                                key=ARRIVAL_ORDER)
                 for ar in movers:
                     running.remove(ar)
+                    residents.remove(ar)
                     if not migrate(ar, pool):
                         pending.append((ar, pool))
             # Arrivals that landed during (or epsilon-past) the step
@@ -786,8 +817,15 @@ class ServingLoop:
                 comm_s=event.comm_s,
                 step_s=event.step_s,
             ))
-            for ar in [ar for ar in running if ar.finished]:
+            if finishers:
+                # Release in ``running`` order, which drops any evicted
+                # since: the collector's finish order is the summation
+                # order of the report's means.
+                finishers = list(filter(set(finishers).__contains__,
+                                        running))
+            for ar in finishers:
                 running.remove(ar)
+                residents.remove(ar)
                 ledger.release(ar.request.rid)
                 record = records[ar.request.rid]
                 record.finished_s = clock
@@ -836,18 +874,15 @@ class ServingLoop:
                 if pool.in_flight is not None or not (pool.waiting
                                                       or pool.running):
                     continue
-                waiting = pool.waiting
-                if policy.reorders_queue and len(waiting) > 1:
-                    # Stable sort: FCFS within a priority class survives.
-                    ordered = sorted(
-                        waiting,
-                        key=lambda r: policy.queue_key(r,
-                                                       table.get(r.tenant)))
-                    waiting.clear()
-                    waiting.extend(ordered)
+                if sanitize and queue_order is not None:
+                    check_queue_order(pool.name, pool.waiting, policy,
+                                      table)
                 plan = pool.batcher.plan_step(
-                    manager.clock, waiting, pool.running, pool.ledger,
+                    manager.clock, pool.waiting, pool.running, pool.ledger,
                     bool(queue.pending_arrivals))
+                for chunk in plan.chunks:
+                    if not chunk.offset:   # admitted with its first chunk
+                        pool.residents.add(chunk.ar)
                 if plan.empty:
                     continue
                 steps += 1

@@ -13,6 +13,7 @@ from repro.analysis.sanitizer import (
     SanitizedEventManager,
     SanitizedEventQueue,
     SanitizedLedger,
+    SanitizedResidentIndex,
     SanitizedStepPricer,
     sanitize_enabled,
     wrap_ledger,
@@ -29,6 +30,7 @@ from repro.moe.trace import zipf_expert_popularity
 from repro.serve.batcher import ActiveRequest, StepPlan
 from repro.serve.engine import ServingEngine
 from repro.serve.events import Arrival, EventKind, StepComplete
+from repro.serve.scheduling import QueueOrder, SlackIndex, YoungestFirst
 from repro.utils.rng import new_rng
 from repro.workloads.traces import Request, poisson_trace
 
@@ -441,6 +443,72 @@ def test_check_every_samples():
     pricer._steps[key] = (99.0, 0.0, None)
     pricer.price(plan_for(1))            # unsampled: poison unnoticed
     assert pricer._priced_steps == 2
+
+
+# ----------------------------------------------------------------------
+# Scheduling: victim order and queue order
+# ----------------------------------------------------------------------
+def contended_report(sanitize):
+    """A chunked, paged ``priority_slack`` run past its KV knee: it
+    preempts, and ``internal`` requests (priority 1) arrive behind
+    queued priority-0 ones."""
+    from repro.api import Deployment
+    return Deployment.from_dict({
+        "model": {"name": "mixtral-8x7b", "engine": "samoyeds",
+                  "num_layers": 1},
+        "hardware": {"gpu": "rtx4070s"},
+        "serving": {"batcher": "chunked", "page_size": 16,
+                    "scheduler": "priority_slack", "sanitize": sanitize},
+        "workload": {
+            "kind": "bursty", "requests": 48, "qps": 200.0,
+            "burst_factor": 8.0, "burst_len": 20, "prompt_tokens": 2048,
+            "output_tokens": 384, "jitter": 0.5, "seed": 5,
+            "tenants": [
+                {"name": "chat", "priority": 0, "share": 0.6,
+                 "ttft_slo_s": 0.3, "tpot_slo_s": 0.05},
+                {"name": "internal", "priority": 1, "share": 0.4},
+            ],
+        },
+    }).run()
+
+
+def test_wrong_victim_detected(monkeypatch):
+    # The index evicts its *first* entry, the request the policy
+    # protects most.
+    monkeypatch.setattr(SlackIndex, "victim",
+                        lambda self, clock: self._entries[0][-1])
+    with pytest.raises(SanitizerError, match="victim order"):
+        contended_report(sanitize=True)
+
+
+def test_untold_resident_detected():
+    # A resident the engine never added to the index.
+    trace = poisson_trace(num_requests=2, rate_qps=40.0, seed=11)
+    policy = YoungestFirst()
+    running = [ActiveRequest(request=req, admitted_s=0.0)
+               for req in trace]
+    inner = policy.resident_index({}, {})
+    inner.add(running[0])
+    index = SanitizedResidentIndex(inner, running, policy, {}, {})
+    with pytest.raises(SanitizerError, match="victim order"):
+        index.victim(1.0)
+    index.add(running[1])
+    assert index.victim(1.0) is running[1]
+
+
+def test_unordered_queue_detected(monkeypatch):
+    # Arrivals and requeued victims join the tail, first come first
+    # served, instead of their queue_key position.
+    monkeypatch.setattr(QueueOrder, "insert",
+                        lambda self, waiting, req: waiting.append(req))
+    with pytest.raises(SanitizerError, match="queue order"):
+        contended_report(sanitize=True)
+
+
+def test_healthy_scheduling_is_silent():
+    report = contended_report(sanitize=True)
+    assert report.preemptions > 0
+    assert report.to_dict() == contended_report(sanitize=False).to_dict()
 
 
 # ----------------------------------------------------------------------

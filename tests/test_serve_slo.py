@@ -342,3 +342,61 @@ class TestSchedulingUnits:
         ar = ActiveRequest(request=req, admitted_s=2.5)
         assert YoungestFirst().victim_key(ar, 9.0, None, None) \
             == (2.5, 0)
+
+
+class TestSanitizedSchedulingDifferential:
+    """Under ``priority_slack`` every preemption victim comes from a
+    pool's resident index and every queue is kept in ``queue_key``
+    order; a sanitized run re-derives each pick by the ``victim_key``
+    scan and checks each queue at every planning pass.  The two runs
+    must report byte-identically, on both batchers, colocated and
+    with a paged decode pool whose evictions re-route to prefill."""
+
+    #: The lowest class mixes both SLOs with TTFT only, so victims
+    #: come by infinite slack (decoding ``search``) and by finite slack
+    #: (``chat``) in every case.
+    TENANTS = [
+        {"name": "chat", "priority": 0, "share": 0.5,
+         "ttft_slo_s": 0.3, "tpot_slo_s": 0.05},
+        {"name": "search", "priority": 0, "share": 0.1,
+         "ttft_slo_s": 0.5},
+        {"name": "internal", "priority": 1, "share": 0.4},
+    ]
+    POOLS = [
+        {"name": "pf", "role": "prefill", "gpu": "h100"},
+        {"name": "dc", "role": "decode", "gpu": "rtx4070s"},
+    ]
+
+    def _spec(self, batcher, layout):
+        serving = {"batcher": batcher, "page_size": 16,
+                   "scheduler": "priority_slack"}
+        if layout == "disagg":
+            serving.update(transfer_link="pcie4", pools=self.POOLS)
+        return {
+            "model": {"name": "mixtral-8x7b", "engine": "samoyeds",
+                      "num_layers": 1},
+            "hardware": {"gpu": "rtx4070s"},
+            "serving": serving,
+            "workload": {
+                "kind": "bursty", "requests": 48, "qps": 200.0,
+                "burst_factor": 8.0, "burst_len": 20,
+                "prompt_tokens": 2048, "output_tokens": 384,
+                "jitter": 0.5, "seed": 5, "tenants": self.TENANTS,
+            },
+        }
+
+    @pytest.mark.parametrize("layout", ["colocated", "disagg"])
+    @pytest.mark.parametrize("batcher", ["continuous", "chunked"])
+    def test_plain_equals_sanitized(self, monkeypatch, batcher, layout):
+        import json
+
+        from repro.api import Deployment
+        spec = self._spec(batcher, layout)
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        plain = Deployment.from_dict(spec).run().to_dict()
+        spec["serving"]["sanitize"] = True
+        checked = Deployment.from_dict(spec).run().to_dict()
+        assert all(block["preemptions"] > 0 for name, block
+                   in plain["tenants"].items() if name != "internal")
+        assert (json.dumps(checked, sort_keys=True)
+                == json.dumps(plain, sort_keys=True))
