@@ -139,9 +139,9 @@ POOL_ROLES = ("prefill", "decode", "both")
 
 #: ``(arrival_s, rid)`` of an active request: the order a step grows
 #: its decodes in.
-ARRIVAL_ORDER = attrgetter("request.arrival_s", "request.rid")
+_ARRIVAL_ORDER = attrgetter("request.arrival_s", "request.rid")
 #: A request's id, for the ledgers.
-REQUEST_ID = attrgetter("request.rid")
+_REQUEST_ID = attrgetter("request.rid")
 
 
 class Pool:
@@ -388,7 +388,7 @@ class Pool:
             # charge.
             first = len(samples) - committed
             grown, crossed = ledger.grow_steps(
-                [*map(REQUEST_ID, sorted(running, key=ARRIVAL_ORDER))],
+                [*map(_REQUEST_ID, sorted(running, key=_ARRIVAL_ORDER))],
                 committed)
             if grown < committed:
                 # The next step needs a block the pool cannot back: the
@@ -411,7 +411,7 @@ class Pool:
             if util > self.peak_util:
                 self.peak_util = util
         else:
-            ledger.grow_each([*map(REQUEST_ID, running)], committed)
+            ledger.grow_each([*map(_REQUEST_ID, running)], committed)
         self.busy_s = busy_s
         self.steps += committed
         manager.clock = clock
@@ -659,7 +659,7 @@ class ServingLoop:
 
         def retry_migrations() -> None:
             blocked = sorted(pending,
-                             key=lambda item: ARRIVAL_ORDER(item[0]))
+                             key=lambda item: _ARRIVAL_ORDER(item[0]))
             pending.clear()
             for ar, src in blocked:
                 if not migrate(ar, src):
@@ -762,7 +762,7 @@ class ServingLoop:
             # token, or a prompt's first) before a victim is chosen for
             # it or for any later request, so the scheduling policy
             # sees what one growth call per request would show it.
-            order = sorted(plan.decode, key=ARRIVAL_ORDER)
+            order = sorted(plan.decode, key=_ARRIVAL_ORDER)
             if plan.prefill or plan.chunks:
                 for chunk in plan.chunks:
                     chunk.ar.prefilled_tokens += chunk.tokens
@@ -774,7 +774,7 @@ class ServingLoop:
                 order += [chunk.ar for chunk in plan.chunks if chunk.completes]
             finishers: list[ActiveRequest] = []
             while order:
-                grown = ledger.grow_each([*map(REQUEST_ID, order)])
+                grown = ledger.grow_each([*map(_REQUEST_ID, order)])
                 for ar in order[:grown + 1]:       # the refused one too
                     if ar.prefilled:               # a decode
                         ar.generated += 1
@@ -792,7 +792,7 @@ class ServingLoop:
                 # elsewhere: start (or queue) their KV migration.
                 movers = sorted((ar for ar in running
                                  if ar.prefilled and not ar.finished),
-                                key=ARRIVAL_ORDER)
+                                key=_ARRIVAL_ORDER)
                 for ar in movers:
                     running.remove(ar)
                     residents.remove(ar)
