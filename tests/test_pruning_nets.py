@@ -5,12 +5,14 @@ import pytest
 
 from repro.errors import ConfigError, ShapeError
 from repro.pruning import MLPClassifier, TinyLM
+from repro.pruning.nets import _Adam
 from repro.pruning.tasks import (
     macro_f1,
     make_classification_task,
     make_sequence_task,
     perplexity,
 )
+from repro.utils.rng import new_rng
 
 
 class TestMLP:
@@ -131,3 +133,98 @@ class TestTasks:
         a = make_sequence_task(train_tokens=500, test_tokens=100, seed=9)
         b = make_sequence_task(train_tokens=500, test_tokens=100, seed=9)
         assert np.array_equal(a.train_targets, b.train_targets)
+
+
+class TestExactTrainingStep:
+    """Each training piece against a plain reference in this file.
+
+    The pruning tables are only reproducible if every rewrite of the
+    training step keeps the same float operations in the same order, so
+    these compare with ``np.array_equal``, not a tolerance.  Both sides
+    run in this process on the same BLAS.
+    """
+
+    def test_adam_matches_textbook_formula(self):
+        rng = np.random.default_rng(0)
+        # Big enough that a reordered or reassociated update changes
+        # some last bit within a few steps.
+        param = rng.normal(size=(64, 64))
+        ref_param = param.copy()
+        opt = _Adam(lr=3e-3)
+        ref_m = np.zeros_like(param)
+        ref_v = np.zeros_like(param)
+        mask = rng.random(param.shape) < 0.5
+        for t in range(1, 6):
+            grad = rng.normal(size=param.shape)
+            if t == 3:
+                grad = grad * mask
+            opt.step(param, grad)
+            ref_m = opt.beta1 * ref_m + (1 - opt.beta1) * grad
+            ref_v = opt.beta2 * ref_v + (1 - opt.beta2) * grad ** 2
+            m_hat = ref_m / (1 - opt.beta1 ** t)
+            v_hat = ref_v / (1 - opt.beta2 ** t)
+            ref_param -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+            assert np.array_equal(param, ref_param), t
+            assert np.array_equal(opt.m, ref_m), t
+            assert np.array_equal(opt.v, ref_v), t
+
+    @pytest.mark.parametrize("hidden", [[24], [24, 16]])
+    def test_lm_gradients_match_explicit_chain(self, hidden):
+        vocab, context, embed_dim, n = 11, 3, 4, 40
+        net = TinyLM(vocab, context, embed_dim, hidden, seed=5)
+        rng = np.random.default_rng(6)
+        # Few tokens in many slots, so embedding rows repeat.
+        contexts = rng.integers(0, 4, size=(n, context))
+        targets = rng.integers(0, vocab, size=n)
+        loss, grads, dembed = net.loss_and_grads(contexts, targets)
+
+        acts = [net.embedding[contexts].reshape(n, -1)]
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            h = acts[-1] @ w.T + b
+            acts.append(np.maximum(h, 0.0) if i < len(hidden) else h)
+        shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1,
+                                                       keepdims=True)
+        ref_loss = -np.mean(np.log(probs[np.arange(n), targets] + 1e-12))
+        delta = probs.copy()
+        delta[np.arange(n), targets] -= 1.0
+        delta /= n
+        ref_grads = []
+        for i in reversed(range(len(net.weights))):
+            ref_grads.insert(0, (delta.T @ acts[i], delta.sum(axis=0)))
+            if i > 0:
+                delta = (delta @ net.weights[i]) * (acts[i] > 0)
+        dfeat = delta @ net.weights[0]
+        ref_dembed = np.zeros_like(net.embedding)
+        np.add.at(ref_dembed, contexts,
+                  dfeat.reshape(n, context, embed_dim))
+
+        assert loss == ref_loss
+        for (dw, db), (ref_dw, ref_db) in zip(grads, ref_grads):
+            assert np.array_equal(dw, ref_dw)
+            assert np.array_equal(db, ref_db)
+        assert np.array_equal(dembed, ref_dembed)
+
+    def test_sequence_sampler_matches_choice_loop(self):
+        vocab, context, train_tokens, test_tokens = 9, 3, 300, 80
+        task = make_sequence_task(vocab=vocab, context=context,
+                                  train_tokens=train_tokens,
+                                  test_tokens=test_tokens, seed=12)
+        rng = new_rng(12)
+        logits = rng.normal(0, 1.0, size=(vocab, vocab))
+        boost = rng.integers(0, vocab, size=(vocab, 4))
+        for s in range(vocab):
+            logits[s, boost[s]] += 3.0
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        stream = [int(rng.integers(0, vocab))]
+        for _ in range(train_tokens + test_tokens + context - 1):
+            stream.append(int(rng.choice(vocab, p=probs[stream[-1]])))
+        stream = np.array(stream)
+
+        assert np.array_equal(task.train_targets,
+                              stream[context:train_tokens + context])
+        assert np.array_equal(task.test_targets,
+                              stream[train_tokens + context:])
+        assert np.array_equal(task.train_contexts[:, 0],
+                              stream[:train_tokens])
