@@ -34,15 +34,33 @@ class _Adam:
     t: int = 0
 
     def step(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """One textbook Adam update, in place.
+
+        The same elementwise operations in the same order as
+        ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+        p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)``, so the
+        result is bit-identical; ``m`` and ``v`` are updated in place
+        and the intermediates share two per-call temporaries.
+        """
         if self.m is None:
             self.m = np.zeros_like(param)
             self.v = np.zeros_like(param)
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad ** 2
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        tmp = grad * (1 - self.beta1)
+        m += tmp
+        np.square(grad, out=tmp)
+        tmp *= 1 - self.beta2
+        v *= self.beta2
+        v += tmp
+        step = m / (1 - self.beta1 ** self.t)
+        step *= self.lr
+        np.divide(v, 1 - self.beta2 ** self.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        step /= tmp
+        param -= step
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -74,15 +92,19 @@ class _DenseNet:
         acts = [x]
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T + b
+            h = h @ w.T
+            h += b
             if i < len(self.weights) - 1:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
             acts.append(h)
         return h, acts
 
-    def backward(self, acts: list[np.ndarray], dlogits: np.ndarray
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Gradients (dW, db) per layer from the logit gradient."""
+    def backward(self, acts: list[np.ndarray], dlogits: np.ndarray,
+                 input_grad: bool = False
+                 ) -> tuple[list[tuple[np.ndarray, np.ndarray]],
+                            np.ndarray | None]:
+        """Gradients (dW, db) per layer from the logit gradient, and the
+        gradient of the network input when ``input_grad`` (else None)."""
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(
             self.weights)  # type: ignore[list-item]
         delta = dlogits
@@ -90,7 +112,7 @@ class _DenseNet:
             grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
             if i > 0:
                 delta = (delta @ self.weights[i]) * (acts[i] > 0)
-        return grads
+        return grads, (delta @ self.weights[0] if input_grad else None)
 
     def apply_step(self, grads: list[tuple[np.ndarray, np.ndarray]]) -> None:
         for i, (dw, db) in enumerate(grads):
@@ -144,7 +166,8 @@ class MLPClassifier(_DenseNet):
         dlogits = probs.copy()
         dlogits[np.arange(n), y] -= 1.0
         dlogits /= n
-        return loss, self.backward(acts, dlogits)
+        grads, _ = self.backward(acts, dlogits)
+        return loss, grads
 
     def fit(self, x: np.ndarray, y: np.ndarray, epochs: int = 20,
             batch_size: int = 64,
@@ -195,17 +218,14 @@ class TinyLM(_DenseNet):
         dlogits = probs.copy()
         dlogits[np.arange(n), targets] -= 1.0
         dlogits /= n
-        grads = self.backward(acts, dlogits)
-        dfeat = dlogits @ self.weights[0] if len(self.weights) == 1 else None
-        # Backprop into the embedding through the first layer.
-        delta = dlogits
-        for i in reversed(range(1, len(self.weights))):
-            delta = (delta @ self.weights[i]) * (acts[i] > 0)
-        dfeat = delta @ self.weights[0]
-        dembed = np.zeros_like(self.embedding)
-        flat = dfeat.reshape(n, self.context, self.embed_dim)
-        np.add.at(dembed, contexts, flat)
-        return loss, grads, dembed
+        grads, dfeat = self.backward(acts, dlogits, input_grad=True)
+        # Scatter-add into the embedding rows.  bincount starts each bin
+        # at 0.0 and adds its terms in token order, as np.add.at does.
+        index = (contexts[..., None] * self.embed_dim
+                 + np.arange(self.embed_dim)).ravel()
+        dembed = np.bincount(index, weights=dfeat.ravel(),
+                             minlength=self.embedding.size)
+        return loss, grads, dembed.reshape(self.embedding.shape)
 
     def fit(self, contexts: np.ndarray, targets: np.ndarray,
             epochs: int = 10, batch_size: int = 128,

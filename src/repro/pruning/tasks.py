@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +88,20 @@ def make_sequence_task(vocab: int = 64, context: int = 4,
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
 
+    # What ``rng.choice(vocab, p=probs[state])`` does once per token:
+    # normalise the row's cumsum by its last entry, draw one double and
+    # bisect right.  All the doubles are drawn at once, which consumes
+    # the generator identically.
+    cdfs = np.cumsum(probs, axis=1)
+    cdfs /= cdfs[:, -1:]
+    cdf_rows = cdfs.tolist()
     total = train_tokens + test_tokens + context
-    stream = np.empty(total, dtype=np.int64)
-    stream[0] = rng.integers(0, vocab)
-    for t in range(1, total):
-        stream[t] = rng.choice(vocab, p=probs[stream[t - 1]])
+    state = int(rng.integers(0, vocab))
+    tokens = [state]
+    for u in rng.random(total - 1).tolist():
+        state = bisect_right(cdf_rows[state], u)
+        tokens.append(state)
+    stream = np.array(tokens, dtype=np.int64)
 
     def windows(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ctx = np.lib.stride_tricks.sliding_window_view(
