@@ -1,8 +1,12 @@
 """Prune -> (fine-tune) -> measure pipelines for Tables 4 and 5.
 
-The pipeline trains a dense model once, then for each pruning method:
-masks the prunable layers with that method's pattern (saliency-ranked),
-optionally fine-tunes briefly with gradients projected onto the mask
+The pipeline trains a dense model once and snapshots its full training
+state: weights, biases, optimizer moments and step counts (and the LM's
+embedding and its optimizer).  Each pruning method starts from that
+snapshot, so no method sees another's fine-tune and a method's score
+does not depend on the order of ``methods``.  From there it masks the
+prunable layers with the method's pattern (saliency-ranked), optionally
+fine-tunes briefly with gradients projected onto the mask
 (SparseML-style recovery), and records the metric.
 """
 
@@ -78,12 +82,11 @@ def evaluate_classifier_pruning(
     net.fit(task.x_train, task.y_train, epochs=train_epochs, seed=seed)
     dense_f1 = macro_f1(task.y_test, net.predict(task.x_test),
                         task.num_classes)
-    saved = net.clone_weights()
+    dense = net.snapshot()
 
     report = AccuracyReport(metric_name="macro_f1", dense=dense_f1)
     for label, kwargs in methods.items():
-        net.restore_weights(saved)
-        net.clear_masks()
+        net.restore(dense)
         achieved = _apply_method(
             net, kwargs["method"], kwargs.get("samoyeds"),
             kwargs.get("venom"), kwargs.get("sparsity", 0.75))
@@ -112,14 +115,11 @@ def evaluate_lm_pruning(
             seed=seed)
     dense_ppl = perplexity(net.token_nll(task.test_contexts,
                                          task.test_targets))
-    saved = net.clone_weights()
-    saved_embed = net.embedding.copy()
+    dense = net.snapshot()
 
     report = AccuracyReport(metric_name="perplexity", dense=dense_ppl)
     for label, kwargs in methods.items():
-        net.restore_weights(saved)
-        net.embedding[...] = saved_embed
-        net.clear_masks()
+        net.restore(dense)
         achieved = _apply_method(
             net, kwargs["method"], kwargs.get("samoyeds"),
             kwargs.get("venom"), kwargs.get("sparsity", 0.75))

@@ -13,6 +13,7 @@ onto the surviving weights so the pattern is preserved.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 class _DenseNet:
     """Shared MLP core: linear layers with ReLU between them."""
+
+    #: Attributes that :meth:`snapshot` copies and :meth:`restore` sets.
+    _STATE: tuple[str, ...] = ("weights", "biases", "_masks", "_optim")
 
     def __init__(self, dims: list[int],
                  seed: int | np.random.Generator | None = None) -> None:
@@ -139,15 +143,24 @@ class _DenseNet:
         self._masks[layer] = mask.astype(bool)
         self.weights[layer] *= self._masks[layer]
 
-    def clear_masks(self) -> None:
-        self._masks = [None] * len(self.weights)
+    # ------------------------------------------------------------------
+    # Training-state snapshots
+    # ------------------------------------------------------------------
+    def snapshot(self) -> dict[str, object]:
+        """Deep copy of the whole training state.
 
-    def clone_weights(self) -> list[np.ndarray]:
-        return [w.copy() for w in self.weights]
+        That is the weights, biases, masks and every optimizer's moments
+        and step count (plus the embedding and its optimizer for
+        :class:`TinyLM`), so fine-tuning after :meth:`restore` does
+        exactly what it would have done right after the snapshot.
+        """
+        return copy.deepcopy({name: getattr(self, name)
+                              for name in self._STATE})
 
-    def restore_weights(self, saved: list[np.ndarray]) -> None:
-        for w, s in zip(self.weights, saved):
-            w[...] = s
+    def restore(self, snapshot: dict[str, object]) -> None:
+        """Return to ``snapshot``'s state; the snapshot stays reusable."""
+        for name, value in copy.deepcopy(snapshot).items():
+            setattr(self, name, value)
 
 
 class MLPClassifier(_DenseNet):
@@ -193,6 +206,8 @@ class MLPClassifier(_DenseNet):
 
 class TinyLM(_DenseNet):
     """Embedding + MLP next-token model (the perplexity proxy)."""
+
+    _STATE = _DenseNet._STATE + ("embedding", "_embed_opt")
 
     def __init__(self, vocab: int, context: int, embed_dim: int,
                  hidden: list[int],

@@ -45,22 +45,23 @@ class SensitivityReport:
 
 def layer_sensitivity(net: MLPClassifier, task: ClassificationTask,
                       pattern: SamoyedsPattern) -> SensitivityReport:
-    """Prune one layer at a time and record the test metric."""
+    """Prune one layer at a time and record the test metric.
+
+    The network ends in the training state it came in with.
+    """
     dense = macro_f1(task.y_test, net.predict(task.x_test),
                      task.num_classes)
-    saved = net.clone_weights()
+    saved = net.snapshot()
     per_layer: dict[int, float] = {}
     for layer in net.prunable_layers():
-        net.restore_weights(saved)
-        net.clear_masks()
+        net.restore(saved)
         mask = build_mask(net.weights[layer], "samoyeds",
                           samoyeds=pattern)
         net.set_mask(layer, mask)
         per_layer[layer] = macro_f1(task.y_test,
                                     net.predict(task.x_test),
                                     task.num_classes)
-    net.restore_weights(saved)
-    net.clear_masks()
+    net.restore(saved)
     return SensitivityReport(dense_metric=dense, per_layer=per_layer)
 
 

@@ -9,6 +9,7 @@ from repro.pruning import (
     make_classification_task,
     make_sequence_task,
 )
+from repro.pruning.evaluate import _default_methods
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +83,33 @@ class TestCustomMethods:
         # Table 4's stability claim across configurations.
         values = list(report.pruned.values())
         assert max(values) - min(values) < 0.08
+
+
+class TestMethodOrder:
+    """Every method fine-tunes from the trained dense state, so its score
+    does not depend on which methods ran before it."""
+
+    METHODS = ("unstructured", "venom", "samoyeds")
+
+    def _check(self, evaluate, task, **kwargs):
+        methods = _default_methods()
+        forward = evaluate(task, methods=methods, **kwargs)
+        backward = evaluate(task, methods=dict(reversed(methods.items())),
+                            **kwargs)
+        assert list(backward.pruned) == list(reversed(self.METHODS))
+        assert backward.pruned == forward.pruned
+        assert backward.dense == forward.dense
+        last = self.METHODS[-1]
+        alone = evaluate(task, methods={last: methods[last]}, **kwargs)
+        assert alone.pruned[last] == forward.pruned[last]
+
+    def test_classifier_scores_ignore_method_order(self):
+        task = make_classification_task(num_samples=600, seed=5)
+        self._check(evaluate_classifier_pruning, task, train_epochs=4,
+                    finetune_epochs=2, seed=5)
+
+    def test_lm_scores_ignore_method_order(self):
+        task = make_sequence_task(train_tokens=4000, test_tokens=1000,
+                                  seed=4)
+        self._check(evaluate_lm_pruning, task, train_epochs=2,
+                    finetune_epochs=1, seed=4)

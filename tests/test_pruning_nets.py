@@ -52,10 +52,22 @@ class TestMLP:
 
     def test_clone_restore(self):
         net = MLPClassifier(8, [16], 4, seed=0)
-        saved = net.clone_weights()
+        saved = net.snapshot()
         net.weights[0][...] = 0.0
-        net.restore_weights(saved)
+        net.restore(saved)
         assert np.any(net.weights[0] != 0.0)
+
+    def test_restore_rewinds_training(self):
+        """Biases and Adam moments come back too, not just weights."""
+        task = make_classification_task(num_samples=200, seed=3)
+        net = MLPClassifier(task.in_dim, [32], task.num_classes, seed=3)
+        net.fit(task.x_train, task.y_train, epochs=2, seed=3)
+        saved = net.snapshot()
+        first = net.fit(task.x_train, task.y_train, epochs=2, seed=4)
+        for _ in range(2):                  # the snapshot stays reusable
+            net.restore(saved)
+            assert net.fit(task.x_train, task.y_train, epochs=2,
+                           seed=4) == first
 
     def test_needs_two_dims(self):
         with pytest.raises(ConfigError):
@@ -80,6 +92,19 @@ class TestTinyLM:
         ppl = perplexity(net.token_nll(task.test_contexts,
                                        task.test_targets))
         assert ppl < task.vocab        # uniform model has ppl == vocab
+
+    def test_restore_rewinds_training(self):
+        """The embedding and its optimizer come back with the rest."""
+        task = make_sequence_task(train_tokens=600, test_tokens=100,
+                                  seed=3)
+        net = TinyLM(task.vocab, task.context, 8, [32], seed=3)
+        net.fit(task.train_contexts, task.train_targets, epochs=1, seed=3)
+        saved = net.snapshot()
+        first = net.fit(task.train_contexts, task.train_targets, epochs=2,
+                        seed=4)
+        net.restore(saved)
+        assert net.fit(task.train_contexts, task.train_targets, epochs=2,
+                       seed=4) == first
 
     def test_token_nll_shape(self):
         task = make_sequence_task(train_tokens=500, test_tokens=200,

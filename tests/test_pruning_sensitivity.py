@@ -92,7 +92,7 @@ class TestAllocation:
     def test_apply_allocation_masks_layers(self, trained):
         import numpy as np
         net, task = trained
-        saved = net.clone_weights()
+        saved = net.snapshot()
         report = layer_sensitivity(net, task, SamoyedsPattern(1, 2, 32))
         params = {i: net.weights[i].size for i in report.per_layer}
         patterns = allocate_sparsity(report, params, target_density=0.3)
@@ -101,5 +101,4 @@ class TestAllocation:
             density = (np.count_nonzero(net.weights[layer])
                        / net.weights[layer].size)
             assert density <= pattern.density + 1e-9
-        net.restore_weights(saved)
-        net.clear_masks()
+        net.restore(saved)
