@@ -8,6 +8,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "pyyaml>=6.0"],
-    extras_require={"test": ["pytest", "hypothesis>=6"]},
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis>=6"]},
     entry_points={"console_scripts": ["repro=repro.__main__:main"]},
 )

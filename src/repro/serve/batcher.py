@@ -29,7 +29,6 @@ from __future__ import annotations
 import abc
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import filterfalse
 from operator import attrgetter
 
@@ -98,13 +97,7 @@ class StepPlan:
     def empty(self) -> bool:
         return not self.prefill and not self.decode and not self.chunks
 
-    # The token totals are pure functions of the (frozen) membership
-    # tuples, and the serving hot path reads them several times per
-    # step (pricing signature, metrics sample), so they memoise on the
-    # instance.  ``cached_property`` writes the instance ``__dict__``
-    # directly, which a frozen dataclass permits; equality and hashing
-    # still compare only the declared fields.
-    @cached_property
+    @property
     def prefill_tokens(self) -> int:
         return (sum(ar.request.prompt_tokens for ar in self.prefill)
                 + sum(chunk.tokens for chunk in self.chunks))
@@ -113,7 +106,7 @@ class StepPlan:
     def decode_tokens(self) -> int:
         return len(self.decode)
 
-    @cached_property
+    @property
     def total_tokens(self) -> int:
         """New tokens traversing the MoE layer this step."""
         return self.prefill_tokens + self.decode_tokens
