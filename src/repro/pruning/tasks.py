@@ -91,17 +91,17 @@ def make_sequence_task(vocab: int = 64, context: int = 4,
     # What ``rng.choice(vocab, p=probs[state])`` does once per token:
     # normalise the row's cumsum by its last entry, draw one double and
     # bisect right.  All the doubles are drawn at once, which consumes
-    # the generator identically.
+    # the generator identically; reading them through a memoryview and
+    # writing the stream in place keeps no per-token Python objects,
+    # which would stay in the allocator's arenas and raise peak RSS.
     cdfs = np.cumsum(probs, axis=1)
     cdfs /= cdfs[:, -1:]
     cdf_rows = cdfs.tolist()
     total = train_tokens + test_tokens + context
-    state = int(rng.integers(0, vocab))
-    tokens = [state]
-    for u in rng.random(total - 1).tolist():
-        state = bisect_right(cdf_rows[state], u)
-        tokens.append(state)
-    stream = np.array(tokens, dtype=np.int64)
+    stream = np.empty(total, dtype=np.int64)
+    state = stream[0] = rng.integers(0, vocab)
+    for t, u in enumerate(memoryview(rng.random(total - 1)), start=1):
+        state = stream[t] = bisect_right(cdf_rows[state], u)
 
     def windows(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ctx = np.lib.stride_tricks.sliding_window_view(
