@@ -48,7 +48,7 @@ from repro.moe.memory_model import (
     DeviceLedgers,
     MemoryLedger,
 )
-from repro.serve.costs import StepPricer, decode_context
+from repro.serve.costs import StepPricer
 from repro.serve.events import Event, EventManager, EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -583,9 +583,9 @@ class SanitizedStepPricer(StepPricer):
     checks that memo's purity instead.
 
     Stochastic configurations (Samoyeds LPT with streams > 1 or a
-    device grid) are never whole-step memoised *and* draw from the
-    shared RNG inside ``_price``, so re-pricing them would desync the
-    run; the check is skipped exactly there.
+    device grid) draw from the shared RNG on every ``price``, so
+    re-pricing them would desync the run; the check is skipped exactly
+    there.
     """
 
     def __init__(self, *args, check_every: int = DEFAULT_CHECK_EVERY,
@@ -602,11 +602,10 @@ class SanitizedStepPricer(StepPricer):
         if self._priced_steps != 1 \
                 and self._priced_steps % self._check_every:
             return priced
-        context = decode_context(plan.decode)
         fresh = StepPricer(self.ctx, self._layers, self._popularity,
                            self._rng, placement=self._placement,
                            cluster=self._cluster)
-        step_s, comm_s, winner = fresh._price(plan, context)
+        step_s, comm_s, winner = fresh.price(plan)
         if (abs(step_s - priced[0]) > MEMO_TOL
                 or abs(comm_s - priced[1]) > MEMO_TOL
                 or winner != priced[2]):

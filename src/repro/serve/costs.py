@@ -22,11 +22,11 @@ them exactly:
   (:meth:`~repro.moe.layers.MoEEngine._gemms`), so a new token count
   that pads to a known shape simulates no kernel: every step of 1–512
   tokens on mixtral-8x7b prices the same 128-column Samoyeds segment;
-* RMSNorm and boundary-collective seconds by token count;
-* whole steps by their exact plan signature — the tuple of prompt
-  lengths, chunk slices and the decode ``(batch, context)`` pair — so
-  a revisited step shape is one dict lookup instead of a full pricing
-  pass.
+* RMSNorm and boundary-collective seconds by token count.
+
+:meth:`StepPricer.price` composes each step from these memos, and
+:meth:`StepPricer.decode_steps` prices the fast path's runs of decode
+steps; both take decode attention from one private path.
 
 A step's ``auto`` winner is the one its MoE cost was priced with.
 The selector itself memoises per power-of-two bucket, so every token
@@ -36,7 +36,7 @@ Because every memoised value is produced by the same pure function the
 pre-calendar loop called, and the sums compose in the same order,
 reports and prices are byte-identical to that loop's recorded output
 (``tests/test_serve_golden.py`` and ``tests/test_serve_pricing.py``
-pin this).  The one path that is *not* memoised per step is the
+pin this).  The one MoE cost that is *not* memoised is the
 stochastic one: a Samoyeds context with ``streams > 1`` (or a
 distributed Samoyeds context) draws per-expert loads from the RNG each
 step; skipping the draw would desynchronise the stream, so those steps
@@ -65,7 +65,7 @@ from repro.moe.scheduler import (
 from repro.registry.selector import AutoEngine
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from typing import Sequence
+    from typing import Iterator, Sequence
 
     from repro.context import ExecutionContext
     from repro.hw.interconnect import ClusterSpec
@@ -110,8 +110,8 @@ class StepPricer:
         self._distributed = not ctx.parallel.is_trivial
         self._samoyeds = isinstance(ctx.engine, SamoyedsEngine)
         self._auto = isinstance(ctx.engine, AutoEngine)
-        #: Steps that consume RNG can never be memoised whole: the
-        #: draw itself is part of the step's semantics.
+        #: Steps that consume RNG: the draw itself is part of the
+        #: step's semantics, so such a step is priced once, in order.
         self.stochastic = self._samoyeds and (self._distributed
                                               or ctx.streams > 1)
         self._segment_kernel = None
@@ -124,53 +124,81 @@ class StepPricer:
         self._comm: dict[int, float] = {}
         self._moe: dict[int, tuple[float, float, str | None]] = {}
         self._segments: dict[int, dict[int, float]] = {}
-        self._steps: dict[tuple, tuple[float, float, str | None]] = {}
 
     # ------------------------------------------------------------------
-    # Whole-step pricing
+    # Step pricing
     # ------------------------------------------------------------------
     def price(self, plan: "StepPlan") -> "tuple[float, float, str | None]":
         """Price one step: ``(step_s, comm_s, auto_winner)``.
 
         ``step_s`` and ``comm_s`` are scaled to all decoder layers;
         ``auto_winner`` names the engine the cost-driven selector
-        dispatched this step to, ``None`` off the auto path.
+        dispatched this step to, ``None`` off the auto path.  Composed
+        from the component memos in the pre-calendar loop's exact
+        summation order (bit-identical floats).
         """
-        context = decode_context(plan.decode)
-        if self.stochastic:
-            return self._price(plan, context)
-        sig = (tuple(ar.request.prompt_tokens for ar in plan.prefill),
-               tuple((chunk.offset, chunk.tokens)
-                     for chunk in plan.chunks),
-               len(plan.decode), context)
-        priced = self._steps.get(sig)
-        if priced is None:
-            priced = self._steps[sig] = self._price(plan, context)
-        return priced
-
-    def _price(self, plan: "StepPlan",
-               context: int) -> "tuple[float, float, str | None]":
-        """One full pricing pass, composed in the pre-calendar loop's
-        exact summation order (bit-identical floats)."""
         attn = 0.0
         for ar in plan.prefill:
             attn += self._prefill_attn(ar.request.prompt_tokens)
         for chunk in plan.chunks:
             attn += self._chunk_attn(chunk.offset, chunk.tokens)
         if plan.decode:
-            attn += self.decode_attn(context, len(plan.decode))
+            attn += next(self._decode_attn(len(plan.decode),
+                                           decode_context(plan.decode)))
         tokens = plan.total_tokens
         winner = self.auto_winner(tokens)
         if not self._distributed:
-            layer = attn + self.moe_seconds(tokens) \
-                + self.norm_seconds(tokens)
+            layer = attn + self._moe_seconds(tokens) \
+                + self._norm_seconds(tokens)
             return (layer * self._layers, 0.0, winner)
         parallel = self.ctx.parallel
         moe_compute_s = self._distributed_moe_seconds(tokens)
         comm_s = self._comm_seconds(tokens)
         layer = (attn / parallel.tp + moe_compute_s
-                 + self.norm_seconds(tokens) + comm_s)
+                 + self._norm_seconds(tokens) + comm_s)
         return (layer * self._layers, comm_s * self._layers, winner)
+
+    def decode_steps(self, batch: int,
+                     context: int) -> "Iterator[float]":
+        """Seconds of successive decode-only steps of ``batch``
+        residents: the first attends to ``context`` cached tokens, each
+        later one to ``batch`` more.  Each is exactly what :meth:`price`
+        returns for that step's plan.  The projection, MoE and norm
+        seconds are looked up once per run; a stochastic or device-grid
+        step is not priced here.
+        """
+        if self.stochastic or self._distributed:
+            raise InternalError("decode_steps needs a deterministic "
+                                "single-device pricer")
+        moe_s = self._moe_seconds(batch)
+        norm_s = self._norm_seconds(batch)
+        layers = self._layers
+        for attn in self._decode_attn(batch, context):
+            yield (attn + moe_s + norm_s) * layers
+
+    def _decode_attn(self, batch: int,
+                     context: int) -> "Iterator[float]":
+        """Decode attention seconds of the steps :meth:`decode_steps`
+        describes.  Only the projection GEMMs are memoised (by batch):
+        the context sum differs nearly every step.  On a flash context
+        the rest is ``decode_attention_cost``'s arithmetic, float op for
+        float op, without the call or its ``AttentionCost``.
+        """
+        proj_s = self.decode_proj(batch)
+        config, spec = self.ctx.config, self.ctx.spec
+        if not self.ctx.flash:
+            while True:
+                yield decode_attention_cost(
+                    config, context, spec, batch=batch, flash=False,
+                    proj_s=proj_s).total_s
+                context += batch
+        h = config.hidden_size
+        ccf, bw = spec.cuda_core_flops, spec.dram_bandwidth
+        launch_s = spec.kernel_launch_overhead_s
+        while True:
+            flops = 2.0 * 2.0 * context * h
+            yield (proj_s + max(flops / ccf, flops / bw)) + launch_s
+            context += batch
 
     # ------------------------------------------------------------------
     # Memoised components
@@ -206,19 +234,7 @@ class StepPricer:
                 self.ctx.config, batch, self.ctx.spec)
         return proj_s
 
-    def decode_attn(self, context: int, batch: int) -> float:
-        """Decode attention for a batch against ``context`` total cached
-        tokens.  The context sum is different nearly every step (each
-        resident request grew by one token), so memoising on it would
-        just grow a dict forever; instead the projection GEMMs are
-        memoised by batch (:meth:`decode_proj`) and passed back in,
-        leaving closed-form arithmetic."""
-        return decode_attention_cost(
-            self.ctx.config, context, self.ctx.spec,
-            batch=batch, flash=self.ctx.flash,
-            proj_s=self.decode_proj(batch)).total_s
-
-    def norm_seconds(self, tokens: int) -> float:
+    def _norm_seconds(self, tokens: int) -> float:
         """Memoised RMSNorm seconds for ``tokens`` new tokens."""
         cached_s = self._norm.get(tokens)
         if cached_s is None:
@@ -260,7 +276,7 @@ class StepPricer:
     # ------------------------------------------------------------------
     # MoE-layer paths (the pre-calendar loop's three cases)
     # ------------------------------------------------------------------
-    def moe_seconds(self, tokens: int) -> float:
+    def _moe_seconds(self, tokens: int) -> float:
         """MoE-layer seconds for ``tokens`` new tokens in one step."""
         if tokens <= 0:
             return 0.0

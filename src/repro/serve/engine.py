@@ -72,6 +72,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
@@ -292,31 +293,32 @@ class Pool:
         reaching their output length, nothing waiting to admit, nobody
         mid-prefill, no KV block the pool cannot back — the general
         path's outcome is fully determined, and runs of such steps
-        reduce to the pricing arithmetic plus a metrics sample.
+        reduce to their prices plus a metrics sample.
 
-        Every committed step replays, float op for float op, what the
-        general path would have done: the same pricing composition as
-        :meth:`StepPricer._price` for a decode-only plan, the same
-        ``max(clock, clock + step_s)`` clock update, the same per-step
-        sample values (``live_bytes`` from the ledger's resident-token
-        total, ``reserved_bytes`` and ``pool_util`` as the ledger
-        reports them after the step, every running request one token
-        further per step).  Only the work whose outcome is already
-        known is skipped — planning, per-step ledger growth, the
-        preemption machinery and the finish scan.  The run's growth is
-        charged afterwards in one call: ``grow_each`` on a conservative
+        Every committed step is what the general path would have done:
+        its price is the next value of
+        :meth:`~repro.serve.costs.StepPricer.decode_steps` (exactly
+        what ``price`` returns for that step's plan), its clock the
+        same ``max(clock, clock + step_s)`` update, its sample the same
+        values (``live_bytes`` from the ledger's resident-token total,
+        ``reserved_bytes`` and ``pool_util`` as the ledger reports them
+        after the step, every running request one token further per
+        step).  Only the work whose outcome is already known is skipped
+        — planning, per-step ledger growth, the preemption machinery
+        and the finish scan.  The run's growth is charged in one call
+        once the barrier is found: ``grow_each`` on a conservative
         ledger, which never refuses; on a paged one
         :meth:`~repro.moe.memory_model.BlockAllocator.grow_steps`,
         which replays every block crossing in the general path's order
         (step, then arrival) and grows only the steps before the first
-        it refuses; the samples of the later steps are dropped.  An
-        ``auto`` pool credits the committed steps to the batch's
-        memoised winner in ``auto_counts["decode"]``.  Stops *before*
-        any step boundary where an event could be due or a growth is
-        refused, leaving that step to the general path.  Commits at
-        most ``max_steps`` steps and returns how many it committed.
-        Only sound when this pool is the run's only pool and
-        :attr:`fast_eligible` holds.
+        it refuses.  The samples of the grown steps are built after
+        that.  An ``auto`` pool credits the committed steps to the
+        batch's memoised winner in ``auto_counts["decode"]``.  Stops
+        *before* any step boundary where an event could be due or a
+        growth is refused, leaving that step to the general path.
+        Commits at most ``max_steps`` steps and returns how many it
+        committed.  Only sound when this pool is the run's only pool
+        and :attr:`fast_eligible` holds.
         """
         running = self.running
         if not running or not all(ar.prefilled for ar in running):
@@ -328,96 +330,68 @@ class Pool:
         limit = min(limit, max_steps)
         if limit <= 0:
             return 0
-        pricer = self.pricer
-        ledger = self.ledger
-        batch = len(running)
-        context_tokens = decode_context(running)
-        moe_s = pricer.moe_seconds(batch)
-        norm_s = pricer.norm_seconds(batch)
-        layers = self.layers
-        config, spec = self.ctx.config, self.ctx.spec
-        static_bytes = ledger.static_bytes
-        resident_tokens = ledger.resident_tokens
-        reserved_bytes = ledger.reserved_bytes
-        util = ledger.pool_utilisation
-        residents = ledger.active_requests
         # The queue cannot change inside the run (fast steps push no
         # events), so the barrier — the earliest event that could
         # become due at a step boundary — is a constant.
         head = manager.queue.peek()
         barrier = head.when if head is not None else None
-        # Inline the flash decode-attention arithmetic (the same float
-        # ops as decode_attention_cost, minus the call and the
-        # AttentionCost object); the rare flash=False context keeps the
-        # function call.
-        flash = self.ctx.flash
-        if flash:
-            proj_s = pricer.decode_proj(batch)
-            h = config.hidden_size
-            ccf = spec.cuda_core_flops
-            bw = spec.dram_bandwidth
-            launch_s = spec.kernel_launch_overhead_s
-        observe = samples.append
-        busy_s = self.busy_s
+        batch = len(running)
         clock = manager.clock
-        committed = 0
-        while committed < limit:
-            if flash:
-                flops = 2.0 * 2.0 * context_tokens * h
-                attn = 0.0 + ((proj_s + max(flops / ccf, flops / bw))
-                              + launch_s)
-            else:
-                attn = 0.0 + pricer.decode_attn(context_tokens, batch)
-            step_s = (attn + moe_s + norm_s) * layers
+        clocks: list[float] = []
+        prices: list[float] = []
+        for step_s in islice(self.pricer.decode_steps(
+                batch, decode_context(running)), limit):
             when = clock + step_s
             if barrier is not None and barrier <= when + CLOCK_EPS:
                 break              # something is due at this boundary
-            committed += 1
             clock = clock if clock >= when else when
-            busy_s += step_s
-            context_tokens += batch
-            live_bytes = static_bytes + kv_cache_bytes(
-                config, resident_tokens + committed * batch)
-            observe(StepSample(clock, 0, residents, batch, live_bytes,
-                               reserved_bytes, util, 0.0, step_s))
-        if not committed:
+            clocks.append(clock)
+            prices.append(step_s)
+        if not prices:
             return 0
+        ledger = self.ledger
+        # The samples start from the run's opening charge.
+        static_bytes = ledger.static_bytes
+        resident_tokens = ledger.resident_tokens
+        reserved_bytes = ledger.reserved_bytes
+        util = ledger.pool_utilisation
+        residents = ledger.active_requests
         if self.page_size:
             # The general path grows a decode step's residents in
-            # arrival order; the samples so far carry the run's opening
-            # charge.
-            first = len(samples) - committed
-            grown, crossed = ledger.grow_steps(
+            # arrival order; the step after the last grown one needs a
+            # block the pool cannot back, and the general path preempts
+            # for it.
+            committed, crossed = ledger.grow_steps(
                 [*map(_REQUEST_ID, sorted(running, key=_ARRIVAL_ORDER))],
-                committed)
-            if grown < committed:
-                # The next step needs a block the pool cannot back: the
-                # general path preempts for it.
-                del samples[first + grown:]
-                committed = grown
-                if not committed:
-                    return 0
-                clock, busy_s = manager.clock, self.busy_s
-                for sample in samples[first:]:
-                    when = clock + sample.step_s
-                    clock = clock if clock >= when else when
-                    busy_s += sample.step_s
-            ends = [step for step, _, _ in crossed[1:]]
-            ends.append(committed + 1)
-            for (step, reserved_bytes, util), end in zip(crossed, ends):
-                for sample in samples[first + step - 1:first + end - 1]:
-                    sample.reserved_bytes = reserved_bytes
-                    sample.pool_util = util
-            if util > self.peak_util:
-                self.peak_util = util
+                len(prices))
+            if not committed:
+                return 0
         else:
+            committed = len(prices)
+            crossed = []
             ledger.grow_each([*map(_REQUEST_ID, running)], committed)
+        charges = {step: (reserved, after)
+                   for step, reserved, after in crossed}
+        config = self.ctx.config
+        busy_s = self.busy_s
+        for step, clock, step_s in zip(range(1, committed + 1), clocks,
+                                       prices):
+            if step in charges:
+                reserved_bytes, util = charges[step]
+            busy_s += step_s
+            live_bytes = static_bytes + kv_cache_bytes(
+                config, resident_tokens + step * batch)
+            samples.append(StepSample(clock, 0, residents, batch,
+                                      live_bytes, reserved_bytes, util,
+                                      0.0, step_s))
+        if util > self.peak_util:
+            self.peak_util = util
         self.busy_s = busy_s
         self.steps += committed
         manager.clock = clock
         for ar in running:
             ar.generated += committed
-        winner = pricer.auto_winner(batch)
+        winner = self.pricer.auto_winner(batch)
         if winner is not None:
             counts = auto_counts.setdefault("decode", {})
             counts[winner] = counts.get(winner, 0) + committed

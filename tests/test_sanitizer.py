@@ -409,11 +409,8 @@ def test_memo_poisoning_detected():
     pricer = make_pricer(check_every=1)
     plan = plan_for(1, 2)
     pricer.price(plan)                   # healthy first price: silent
-    # Poison the whole-step memo the way a stale-key bug would.
-    key, = pricer._steps
-    pricer._steps[key] = (pricer._steps[key][0] * 1.5,
-                          pricer._steps[key][1],
-                          pricer._steps[key][2])
+    # Poison the decode-projection memo the way a stale-key bug would.
+    pricer._proj[2] *= 1.5
     with pytest.raises(SanitizerError, match="memo purity"):
         pricer.price(plan)
 
@@ -423,9 +420,8 @@ def test_component_memo_poisoning_detected():
     pricer.price(plan_for(1, 2))
     time_s, dataflow_s, winner = pricer._moe[2]  # poisoned component memo
     pricer._moe[2] = (time_s * 2, dataflow_s, winner)
-    # A fresh step signature (different decode context) reprices
-    # through the poisoned 2-token MoE component; the fresh re-price
-    # computes it clean and diverges.
+    # The next 2-token step prices through the poisoned MoE
+    # component; the fresh re-price computes it clean and diverges.
     with pytest.raises(SanitizerError, match="memo purity"):
         pricer.price(plan_for(3, 4, generated=3))
 
@@ -439,8 +435,7 @@ def test_healthy_pricing_is_silent_every_step():
 def test_check_every_samples():
     pricer = make_pricer(check_every=1000)
     pricer.price(plan_for(1))            # step 1 always checked
-    key, = pricer._steps
-    pricer._steps[key] = (99.0, 0.0, None)
+    pricer._proj[1] = 99.0
     pricer.price(plan_for(1))            # unsampled: poison unnoticed
     assert pricer._priced_steps == 2
 

@@ -316,9 +316,10 @@ def count_fast_steps(engine):
     return committed
 
 
-#: Every (batcher, page size, engine) the fast path proves runs for.
+#: Every (batcher, page size, engine, flash) the fast path runs for.
 FAST_CASES = list(itertools.product(("continuous", "chunked"),
-                                    (None, 1, 16), ("samoyeds", "auto")))
+                                    (None, 1, 16), ("samoyeds", "auto"),
+                                    (True, False)))
 
 
 class TestFastPath:
@@ -335,16 +336,16 @@ class TestFastPath:
         assert engine.pool.steps == report.steps
 
     @pytest.mark.parametrize(
-        "batcher,page_size,engine", FAST_CASES,
+        "batcher,page_size,engine,flash", FAST_CASES,
         ids=[f"{b}-{'conservative' if p is None else f'page{p}'}-{e}"
-             for b, p, e in FAST_CASES])
+             f"{'' if f else '-noflash'}" for b, p, e, f in FAST_CASES])
     def test_report_equals_sanitized(self, monkeypatch, batcher,
-                                     page_size, engine):
+                                     page_size, engine, flash):
         """A trace past the rtx4070s KV knee, served with the fast path
         and with the sanitizer (which turns it off), gives the same
-        report byte for byte, and the fast path committed steps.  Every
-        paged case preempts; on Samoyeds a refused block crossing also
-        cuts fast runs short."""
+        report byte for byte, and the fast path committed steps, with
+        and without flash attention.  Every paged case preempts; on
+        Samoyeds a refused block crossing also cuts fast runs short."""
         cut = []
         grow_steps = BlockAllocator.grow_steps
 
@@ -354,7 +355,8 @@ class TestFastPath:
             return grown, crossed
 
         monkeypatch.setattr(BlockAllocator, "grow_steps", counted_growth)
-        ctx = ExecutionContext.create("mixtral-8x7b", engine, "rtx4070s")
+        ctx = ExecutionContext.create("mixtral-8x7b", engine, "rtx4070s",
+                                      flash=flash)
         trace = poisson_trace(40, 200.0, prompt_tokens=2000,
                               output_tokens=400, jitter=0.5, seed=3)
 

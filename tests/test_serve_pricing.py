@@ -17,18 +17,27 @@ Tolerance is 1e-9 relative even though the implementations are
 designed to agree exactly — the property is "same model", not "same
 rounding story".  After an intentional cost-model change, regenerate
 the table with ``PYTHONPATH=src python tests/test_serve_pricing.py``.
+
+The fast path's prices, :meth:`~repro.serve.costs.StepPricer.decode_steps`,
+are pinned with ``==`` instead: to ``price`` on the same plan and to the
+models-layer composition of decode attention, MoE layer and RMSNorm.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from repro.context import ExecutionContext
+from repro.models.attention import decode_attention_cost
+from repro.models.decoder import norm_seconds
 from repro.moe.scheduler import segment_seconds_from_loads
+from repro.moe.trace import zipf_expert_popularity
 from repro.serve.batcher import ActiveRequest, PrefillChunk, StepPlan
+from repro.serve.costs import StepPricer, decode_context
 from repro.serve.engine import ServingEngine
 from repro.workloads.traces import Request
 from repro.utils.rng import new_rng
@@ -165,12 +174,57 @@ def test_step_seconds_matches_reference_across_random_plans(table, engine):
 
 def test_step_seconds_memo_hit_is_identical():
     """Pricing the same plan twice must return the identical float —
-    the whole-step memo may never drift from the first computation."""
+    composed the second time from the component memos the first one
+    filled, it may never drift from the first computation."""
     eng = ServingEngine(
         ctx=ExecutionContext.create("mixtral-8x7b", "samoyeds", "a100"),
         num_layers=1, seed=3)
     plan = _random_plan(new_rng(21))
     assert eng.step_seconds(plan) == eng.step_seconds(plan)
+
+
+@pytest.mark.parametrize("gpu", ["a100", "rtx4070s"])
+@pytest.mark.parametrize("flash", [True, False], ids=["flash", "noflash"])
+@pytest.mark.parametrize("engine", ["samoyeds", "auto", "vllm-ds"])
+def test_decode_steps_equal_price_and_reference(engine, flash, gpu):
+    """Each value of ``StepPricer.decode_steps`` is exactly what a fresh
+    pricer's ``price`` gives that step's decode-only plan, and exactly
+    the models-layer composition — decode attention + MoE layer +
+    RMSNorm, times the layers — in that summation order, over 40
+    successive steps of batches of 1, 3, 8 and 37 heterogeneous
+    residents."""
+    ctx = ExecutionContext.create("mixtral-8x7b", engine, gpu, flash=flash)
+    config, spec = ctx.config, ctx.spec
+    layers = config.num_layers
+    popularity = zipf_expert_popularity(config.num_experts, 0.0)
+
+    def pricer():
+        return StepPricer(ctx, layers, popularity, new_rng(0))
+
+    for batch in (1, 3, 8, 37):
+        rng = new_rng(batch)
+        residents = []
+        for rid in range(batch):
+            prompt = int(rng.integers(16, 2048))
+            residents.append(ActiveRequest(
+                request=Request(rid=rid, arrival_s=0.0,
+                                prompt_tokens=prompt, output_tokens=4096),
+                admitted_s=0.0, generated=int(rng.integers(1, 512)),
+                prefilled=True, prefilled_tokens=prompt))
+        steps = pricer().decode_steps(batch, decode_context(residents))
+        for step_s in islice(steps, 40):
+            context = decode_context(residents)
+            assert step_s == pricer().price(
+                StepPlan(decode=tuple(residents)))[0], (batch, context)
+            assert step_s == (
+                0.0 + decode_attention_cost(config, context, spec,
+                                            batch=batch,
+                                            flash=flash).total_s
+                + ctx.engine.cost(config, batch, spec).time_s
+                + norm_seconds(config, batch, spec)) * layers, \
+                (batch, context)
+            for ar in residents:
+                ar.generated += 1
 
 
 def test_lpt_streams_pricing_matches_reference_sequence(table):
