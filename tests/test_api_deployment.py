@@ -160,6 +160,14 @@ class TestDeploymentRun:
         assert report.completed == 0
         assert report.ttft_s == PercentileSummary.zero()
 
+    def test_max_steps_exceeded_raises(self):
+        spec = DeploymentSpec.from_dict({
+            "model": {"num_layers": 1},
+            "workload": {"requests": 2, "output_tokens": 20}})
+        with pytest.raises(ConfigError,
+                           match="exceeded 5 steps; trace too large"):
+            Deployment(spec).run(max_steps=5)
+
     def test_from_file_missing(self):
         with pytest.raises(ConfigError):
             Deployment.from_file("/nonexistent/cfg.yaml")

@@ -96,26 +96,56 @@ class TestDegenerateColocated:
 # ----------------------------------------------------------------------
 class TestStuckRun:
     @staticmethod
-    def _error(pools=None) -> CapacityError:
-        payload = {"model": {"num_layers": 1},
-                   "serving": {"pools": pools} if pools else {},
-                   "workload": {"requests": 4, "prompt_tokens": 200_000,
-                                "output_tokens": 8, "jitter": 0.0}}
+    def _payload(serving) -> dict:
+        return {"model": {"num_layers": 1}, "serving": serving,
+                "workload": {"requests": 4, "prompt_tokens": 200_000,
+                             "output_tokens": 8, "jitter": 0.0}}
+
+    @classmethod
+    def _error(cls, pools=None) -> CapacityError:
+        payload = cls._payload({"pools": pools} if pools else {})
         with pytest.raises(CapacityError) as exc:
             Deployment.from_dict(payload).run()
         return exc.value
+
+    @classmethod
+    def _assert_matches_colocated(cls, err: CapacityError) -> None:
+        assert err.required_bytes > err.available_bytes > 0
+        colocated = cls._error()
+        assert str(err) == str(colocated)
+        assert (err.required_bytes, err.available_bytes) == (
+            colocated.required_bytes, colocated.available_bytes)
 
     def test_multi_pool_error_carries_the_bytes(self):
         """The prefill pool can never admit the 200k-token prompt: the
         error names what it needs and what the pool has, exactly as
         the colocated run on the same device does."""
-        err = self._error([{"name": "pf", "role": "prefill"},
-                           {"name": "dc", "role": "decode"}])
-        assert err.required_bytes > err.available_bytes > 0
-        colocated = self._error()
-        assert str(err) == str(colocated)
-        assert (err.required_bytes, err.available_bytes) == (
-            colocated.required_bytes, colocated.available_bytes)
+        self._assert_matches_colocated(self._error(
+            [{"name": "pf", "role": "prefill"},
+             {"name": "dc", "role": "decode"}]))
+
+    def test_blocked_migration_error_carries_the_bytes(self):
+        """An h100 pool prefills the prompt, but its KV never fits the
+        rtx4070s decode pool it migrates to: the error blames that
+        pool, as the colocated run on the same device does."""
+        self._assert_matches_colocated(self._error(
+            [{"name": "pf", "role": "prefill", "gpu": "h100"},
+             {"name": "dc", "role": "decode"}]))
+
+    def test_partial_prefill_is_blamed(self):
+        """Chunked paged prefill fills the rtx4070s ledger with part of
+        request 0's prompt; the run blames that request, not the
+        queue head behind it."""
+        deployment = Deployment.from_dict(self._payload(
+            {"batcher": "chunked", "page_size": 16}))
+        engine = deployment.build_engine()
+        with pytest.raises(CapacityError, match="request 0 .* can never "
+                           "fit on rtx4070s with samoyeds"):
+            engine.run(deployment.build_trace())
+        pool = engine.pool
+        assert [(ar.request.rid, ar.prefilled, ar.prefilled_tokens)
+                for ar in pool.running] == [(0, False, 84_144)]
+        assert [req.rid for req in pool.waiting] == [1, 2, 3]
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.serve import (
     poisson_trace,
     replay_trace,
 )
-from repro.serve.engine import ServingEngine
+from repro.serve.engine import Pool, ServingEngine
 
 CFG = MODEL_REGISTRY["mixtral-8x7b"]
 SEED = 7
@@ -203,6 +203,22 @@ class TestPagedServing:
             ServingEngine(ctx=ctx, num_layers=1, seed=SEED,
                           page_size=16).run(trace)
 
+    def test_request_too_large_alone_raises(self):
+        """A paged rtx4070s ledger holds at most 84,144 tokens of one
+        request: an 84,136-token prompt prefills, but its decode runs
+        past that with nobody left to preempt."""
+        ctx = ExecutionContext.create("mixtral-8x7b", "samoyeds",
+                                      "rtx4070s")
+        trace = replay_trace([(0.0, 84_136, 64)])
+        with pytest.raises(CapacityError) as exc:
+            ServingEngine(ctx=ctx, batcher=ContinuousBatcher(),
+                          num_layers=1, seed=SEED, page_size=16).run(trace)
+        assert str(exc.value) == (
+            "request 0 (84200 tokens) exceeds device memory even alone "
+            "on rtx4070s with samoyeds")
+        ledger = BlockAllocator(CFG, "samoyeds", ctx.spec, page_size=16)
+        assert exc.value.required_bytes == int(ledger.peak_bytes(84_200))
+
     def test_paged_deterministic(self):
         def run():
             trace = bursty_trace(16, 4.0, prompt_tokens=512,
@@ -292,6 +308,10 @@ class TestLifecycle:
         """Only ``None`` means the model's depth; 0 layers is invalid."""
         with pytest.raises(ConfigError, match="num_layers must be positive"):
             ServingEngine(ctx=ctx, num_layers=0)
+
+    def test_unknown_pool_role_rejected(self, ctx):
+        with pytest.raises(ConfigError, match="role must be one of"):
+            Pool(ctx, ContinuousBatcher(), role="x")
 
     def test_engine_object_reusable(self, ctx):
         server = ServingEngine(ctx=ctx, seed=SEED)
