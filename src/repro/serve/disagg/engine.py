@@ -46,7 +46,7 @@ from repro.errors import ConfigError
 from repro.hw.interconnect import ClusterSpec, LinkSpec, get_link
 from repro.serve.disagg.pools import validate_pools
 from repro.serve.disagg.routers import make_router
-from repro.serve.engine import Pool, ServedRun, ServingLoop
+from repro.serve.engine import Pool, ServingLoop
 from repro.serve.metrics import PercentileSummary, ServeReport, summarise
 from repro.workloads.tenants import TenantSpec
 from repro.workloads.traces import Request
@@ -97,17 +97,17 @@ class DisaggServingEngine:
     def run(self, trace: Sequence[Request],
             max_steps: int = 1_000_000) -> ServeReport:
         """Serve ``trace`` across the pools and summarise the run."""
-        served = self._loop.run(self.pools, trace,
-                                router=make_router(self.router),
-                                link=self.link, max_steps=max_steps)
+        loop = self._loop
+        loop.run(self.pools, trace, router=make_router(self.router),
+                 link=self.link, max_steps=max_steps)
         first = self.pools[0]
         return summarise(
-            served.collector, engine=first.ctx.engine.name,
+            loop.collector, engine=first.ctx.engine.name,
             model=first.ctx.config.name, gpu=self._gpu,
             batcher=first.batcher.name, num_requests=len(trace),
-            auto=served.auto, tenants=self.tenants or None,
-            all_records=served.records, pools=self._pools_report(),
-            transfer=self._transfer_report(served))
+            auto=loop.auto, tenants=self.tenants or None,
+            all_records=loop.records.values(),
+            pools=self._pools_report(), transfer=self._transfer_report())
 
     # ------------------------------------------------------------------
     # Report sections
@@ -130,33 +130,32 @@ class DisaggServingEngine:
                 "peak_pool_utilisation": pool.peak_util,
             }
             if pool.serves_prefill:
-                block["ttft_s"] = _summary(pool.ttft_values)
+                block["ttft_s"] = PercentileSummary.from_values(
+                    pool.ttft_values).to_dict()
             if pool.serves_decode:
-                block["tpot_s"] = _summary(pool.tpot_values)
+                block["tpot_s"] = PercentileSummary.from_values(
+                    pool.tpot_values).to_dict()
             section[pool.name] = block
         return section
 
-    def _transfer_report(self, served: ServedRun) -> dict[str, object]:
-        """KV-transfer section: link, totals and per-request seconds.
+    def _transfer_report(self) -> dict[str, object]:
+        """KV-transfer section of the last run: link, totals and
+        per-request seconds.
 
         ``per_request_s`` maps each migrated request id to its total
         transfer seconds (summed over recompute re-migrations), in
         rid order.
         """
-        by_rid = served.transfer_s_by_rid
+        loop = self._loop
+        by_rid = loop.transfer_s_by_rid
         rids = sorted(by_rid)
         return {
             "link": self.link.name,
-            "transfers": served.transfers,
+            "transfers": loop.transfers,
             "requests": len(by_rid),
-            "bytes_total": served.transfer_bytes,
-            "seconds_total": served.transfer_s,
-            "seconds": _summary([by_rid[rid] for rid in rids]),
+            "bytes_total": loop.transfer_bytes,
+            "seconds_total": loop.transfer_s,
+            "seconds": PercentileSummary.from_values(
+                [by_rid[rid] for rid in rids]).to_dict(),
             "per_request_s": {str(rid): by_rid[rid] for rid in rids},
         }
-
-
-def _summary(values: list[float]) -> dict[str, float]:
-    """Percentile block of ``values`` (all zero when empty)."""
-    return (PercentileSummary.from_values(values) if values
-            else PercentileSummary.zero()).to_dict()

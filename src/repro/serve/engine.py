@@ -12,13 +12,16 @@ heap-ordered queue of typed events —
 :class:`~repro.serve.events.EventManager` that owns the clock.  A
 :class:`Pool` is one model server: an execution context, a batcher and
 a memoising :class:`~repro.serve.costs.StepPricer`, plus per run a
-memory ledger and the pool's queues.  At each step boundary of an idle
-pool its batcher composes the step (admissions + decodes), the pricer
-prices its duration with the prefill/decode cost split from
-:mod:`repro.models` — scaled by ``num_layers`` to a full-model forward
-— and a ``StepComplete`` event naming the pool is scheduled; its
-handler applies the plan's lifecycle effects when the clock reaches
-it.  Request timestamps fall out of the clock.
+memory ledger and the pool's queues.  The loop is the run object: it
+holds one run's state (records, collector, calendar, in-flight
+transfers) and has one handler method per event kind.  At each step
+boundary of an idle pool its batcher composes the step (admissions +
+decodes), the pricer prices its duration with the prefill/decode cost
+split from :mod:`repro.models` — scaled by ``num_layers`` to a
+full-model forward — and a ``StepComplete`` event naming the pool is
+scheduled; :meth:`ServingLoop.on_step_complete` applies the plan's
+lifecycle effects when the clock reaches it.  Request timestamps fall
+out of the clock.
 
 Two front doors drive the loop.  :class:`ServingEngine` is colocated
 serving: one pool serving both phases, on which routing and KV
@@ -153,10 +156,13 @@ class Pool:
     :class:`~repro.serve.costs.StepPricer` (whose memos and RNG carry
     across runs).  :meth:`start` gives every run a fresh memory
     ledger, queues (``waiting``, ``running``), in-flight plan, transfer
-    bookkeeping (``outbound``, ``inbound_tokens``) and report
-    statistics, which :class:`ServingLoop` reads and updates; the loop
-    adds the run's index of ``running`` in eviction order
-    (``residents``, a :class:`~repro.serve.scheduling.ResidentIndex`).
+    bookkeeping (``outbound``, ``inbound_tokens``) and per-pool report
+    statistics, which the :class:`ServingLoop` methods read and
+    update; the loop adds the run's index of ``running`` in eviction
+    order (``residents``, a
+    :class:`~repro.serve.scheduling.ResidentIndex`).  Run-wide state
+    lives on the loop, which also runs the pool's uneventful-decode
+    fast path (:meth:`ServingLoop.fast_decode_run`).
 
     Args:
         ctx: Execution context (model, engine, device, parallel plan).
@@ -281,11 +287,251 @@ class Pool:
                       for ar in self.running)
         return tokens + self.inbound_tokens
 
-    def fast_decode_run(self, manager: EventManager,
-                        samples: list[StepSample],
-                        auto_counts: dict[str, dict[str, int]],
-                        max_steps: int) -> int:
-        """Commit a run of provably uneventful pure-decode steps.
+    def cluster_report(self) -> dict[str, object] | None:
+        """Multi-device report section of the last run (``None`` on a
+        single GPU)."""
+        cluster = self.cluster
+        if cluster is None:
+            return None
+        info: dict[str, object] = {
+            "parallel": self.ctx.parallel.to_dict(),
+            "cluster": cluster.describe(),
+            "link": cluster.link.name,
+            "comm_s_total": self.comm_s,
+            "comm_fraction": (self.comm_s / self.busy_s
+                              if self.busy_s > 0 else 0.0),
+        }
+        if self.placement is not None:
+            info["placement_policy"] = self.placement.policy
+            info["experts_per_device"] = list(self.placement.counts())
+        info["per_device_static_bytes"] = [
+            led.static_bytes for led in self.raw_ledger.ledgers]
+        return info
+
+
+class ServingLoop:
+    """The one event loop: serves a trace across a list of pools.
+
+    Holds the run-level settings both front doors validate at
+    construction — tenant classes, the scheduling policy and the
+    serving horizon — while :meth:`run` takes the pools, plus the
+    router and transfer link a multi-pool run needs.  The loop is also
+    the run object: :meth:`run` sets the run's state on it, as
+    :meth:`Pool.start` does for a pool, and each event kind has one
+    handler method.  The state stays readable until the next run
+    starts: ``collector``, ``records`` (every request's record,
+    finished or not, in trace order), ``auto`` (the engine the
+    cost-driven selector dispatched each phase to, ``None`` unless a
+    pool runs ``auto``) and the completed KV transfers (``transfers``,
+    ``transfer_bytes``, ``transfer_s`` and ``transfer_s_by_rid``, the
+    link seconds per migrated request summed over re-migrations).
+    """
+
+    def __init__(self, tenants: Sequence[TenantSpec] = (),
+                 scheduler: str = "youngest_first",
+                 horizon_s: float | None = None) -> None:
+        self.tenants = tuple(tenants)
+        validate_tenants(self.tenants)
+        self.policy = make_scheduler(scheduler)
+        if horizon_s is not None and horizon_s <= 0:
+            raise ConfigError("horizon_s must be positive")
+        self.horizon_s = horizon_s
+
+    def run(self, pools: Sequence[Pool], trace: Sequence[Request], *,
+            router: "RouterPolicy | None" = None,
+            link: LinkSpec | None = None,
+            max_steps: int = 1_000_000) -> None:
+        """Serve ``trace`` across ``pools`` until it is served (or the
+        horizon cuts it).
+
+        A phase with one candidate pool needs no routing decision;
+        ``router`` (fresh per run: routers are run state) picks among
+        several, and ``link`` prices the KV transfers out of
+        prefill-only pools.
+        """
+        validate_trace(trace)
+        sanitize = any(pool.sanitize for pool in pools)
+        self.pools = pools
+        self.records = records = {req.rid: RequestRecord(req)
+                                  for req in trace}
+        policy = self.policy
+        self.table = table = {t.name: t for t in self.tenants}
+        for index, pool in enumerate(pools):
+            pool.start(index, sanitize)
+            residents = policy.resident_index(records, table)
+            pool.residents = (
+                SanitizedResidentIndex(residents, pool.running, policy,
+                                       records, table)
+                if sanitize else residents)
+        # Under a queue-reordering policy every queue stays in its
+        # order: arrivals and requeued victims insert at their key.
+        self.queue_order = queue_order = (
+            QueueOrder(policy, table) if policy.reorders_queue else None)
+        self.collector = MetricsCollector()
+        self.manager = manager = (SanitizedEventManager() if sanitize
+                                  else EventManager())
+        self.queue = queue = manager.queue
+        self.auditor = auditor = KVTransferAuditor() if sanitize else None
+        # Stable name order everywhere scheduling iterates pools: the
+        # deterministic half of the routers' ``(pool_name, rid)``
+        # tie-break.
+        self.sched = sched = sorted(pools, key=lambda p: p.name)
+        self.prefill_pools = [p for p in sched if p.serves_prefill]
+        self.decode_pools = [p for p in sched if p.serves_decode]
+        self.router = router
+        self.link = link
+        npools = len(pools)
+        fast = pools[0] if npools == 1 and pools[0].fast_eligible else None
+
+        # Token-rate admission gate: fresh per run (bucket levels are
+        # run state).  ``None`` when no tenant declares a rate limit,
+        # which keeps the admission path allocation-free.
+        gate = AdmissionGate(table) if table else None
+        if gate is not None and not gate:
+            gate = None
+        self.gate = gate
+        for pool in pools:
+            pool.batcher.admission_gate = gate
+        for req in sorted(trace, key=lambda r: (r.arrival_s, r.rid)):
+            queue.push(Arrival(when=req.arrival_s, request=req))
+        if self.horizon_s is not None:
+            queue.push(HorizonExpired(when=self.horizon_s))
+
+        self.max_steps = max_steps
+        self.steps = 0
+        #: Pools with a step in flight.
+        self.flying = 0
+        #: rid -> (active request, source pool, destination pool) of
+        #: every KV transfer currently on the wire.
+        self.migrating: dict[int, tuple[ActiveRequest, Pool, Pool]] = {}
+        #: Migrations blocked on destination admission, retried in
+        #: stable (arrival_s, rid) order whenever capacity frees.
+        self.pending: list[tuple[ActiveRequest, Pool]] = []
+        self.auto_counts: dict[str, dict[str, int]] = {}
+        self.auto: dict[str, object] | None = None
+        self.transfers = 0
+        self.transfer_bytes = 0.0
+        self.transfer_s = 0.0
+        self.transfer_s_by_rid: dict[int, float] = {}
+
+        manager.on(EventKind.ARRIVAL, self.on_arrival)
+        manager.on(EventKind.PREEMPT, self.on_preempt)
+        manager.on(EventKind.HORIZON_EXPIRED, self.on_horizon)
+        manager.on(EventKind.STEP_COMPLETE, self.on_step_complete)
+        manager.on(EventKind.RATE_REFILL, self.on_rate_refill)
+        manager.on(EventKind.KV_TRANSFER, self.on_kv_transfer)
+
+        while True:
+            # Same-instant events first: arrivals within the epsilon
+            # of the clock, a horizon the clock has reached.
+            manager.dispatch_due()
+            if self.flying == npools:
+                # Every pool is mid-step: advance to the next completion
+                # (or to whatever precedes it).
+                manager.advance()
+                continue
+            if manager.stopped:
+                if not (self.flying or self.migrating):
+                    break              # horizon reached: stop serving
+                # In-flight steps and transfers complete fully; the
+                # stop flag only gates planning.
+                manager.advance()
+                continue
+            if not (self.flying or self.migrating or self.pending
+                    or queue.pending_arrivals
+                    or any(p.waiting or p.running for p in pools)):
+                break                  # trace fully served
+            if (fast is not None and not fast.waiting
+                    and self.fast_decode_run(fast)):
+                continue
+            planned = False
+            for pool in sched:
+                if pool.in_flight is not None or not (pool.waiting
+                                                      or pool.running):
+                    continue
+                if sanitize and queue_order is not None:
+                    check_queue_order(pool.name, pool.waiting, policy,
+                                      table)
+                plan = pool.batcher.plan_step(
+                    manager.clock, pool.waiting, pool.running, pool.ledger,
+                    bool(queue.pending_arrivals))
+                for chunk in plan.chunks:
+                    if not chunk.offset:   # admitted with its first chunk
+                        pool.residents.add(chunk.ar)
+                if plan.empty:
+                    continue
+                self.steps += 1
+                if self.steps > max_steps:
+                    raise ConfigError(f"exceeded {max_steps} steps; trace "
+                                      f"too large or engine starved")
+                step_s, comm_s, winner = pool.pricer.price(plan)
+                if winner is not None:
+                    self.credit_auto("prefill" if (plan.prefill
+                                                   or plan.chunks)
+                                     else "decode", winner, 1)
+                pool.in_flight = plan
+                pool.steps += 1
+                self.flying += 1
+                queue.push(StepComplete(when=manager.clock + step_s,
+                                        step_s=step_s, comm_s=comm_s,
+                                        pool=pool.index))
+                planned = True
+            if planned:
+                continue
+            if self.flying or self.migrating or queue.pending_arrivals:
+                manager.advance()      # idle until the next event
+                continue
+            if gate is not None:
+                # A queue head may be rate-throttled rather than
+                # memory-blocked: schedule a wake-up at the instant its
+                # tenant's bucket has refilled enough.
+                woke = False
+                for pool in sched:
+                    if not pool.waiting:
+                        continue
+                    wake_s = gate.next_admit_s(manager.clock,
+                                               pool.waiting[0])
+                    if wake_s is not None:
+                        queue.push(RateRefill(when=wake_s))
+                        woke = True
+                if woke:
+                    manager.advance()
+                    continue
+            req, pool = self.stuck()
+            ledger = pool.ledger
+            raise CapacityError(
+                f"request {req.rid} ({req.total_tokens} tokens) can "
+                f"never fit on {pool.ctx.spec.name} with "
+                f"{pool.ctx.engine.name}",
+                required_bytes=int(ledger.peak_bytes(req.total_tokens)),
+                available_bytes=int(ledger.budget_bytes
+                                    - ledger.static_bytes))
+
+        if sanitize and not manager.stopped:
+            # A fully served trace must leave every ledger at its
+            # static charge and no transfer on the wire (horizon runs
+            # legitimately end with residents).
+            for pool in pools:
+                pool.ledger.assert_drained()
+            auditor.assert_drained()
+        if any(isinstance(pool.ctx.engine, AutoEngine) for pool in pools):
+            self.auto = {
+                "selected": {
+                    phase: max(counts.items(),
+                               key=lambda kv: (kv[1], kv[0]))[0]
+                    for phase, counts in self.auto_counts.items()},
+                "steps": {phase: dict(counts)
+                          for phase, counts in self.auto_counts.items()}}
+
+    def credit_auto(self, phase: str, winner: str, steps: int) -> None:
+        """Credit ``steps`` steps of ``phase`` to ``winner``, the fixed
+        engine an ``auto`` pool's selector dispatched them to."""
+        counts = self.auto_counts.setdefault(phase, {})
+        counts[winner] = counts.get(winner, 0) + steps
+
+    def fast_decode_run(self, pool: Pool) -> int:
+        """Commit a run of provably uneventful pure-decode steps on
+        ``pool``.
 
         The discrete-event payoff: when the calendar can prove the next
         step is a pure decode step whose completion dispatches nothing
@@ -313,23 +559,24 @@ class Pool:
         (step, then arrival) and grows only the steps before the first
         it refuses.  The samples of the grown steps are built after
         that.  An ``auto`` pool credits the committed steps to the
-        batch's memoised winner in ``auto_counts["decode"]``.  Stops
-        *before* any step boundary where an event could be due or a
-        growth is refused, leaving that step to the general path.
-        Commits at most ``max_steps`` steps and returns how many it
-        committed.  Only sound when this pool is the run's only pool
-        and :attr:`fast_eligible` holds.
+        batch's memoised winner.  Stops *before* any step boundary
+        where an event could be due or a growth is refused, leaving
+        that step to the general path.  Commits at most the steps left
+        under ``max_steps``, adds them to ``steps`` and returns how
+        many it committed.  Only sound when ``pool`` is the run's only
+        pool and its :attr:`~Pool.fast_eligible` holds.
         """
-        running = self.running
+        running = pool.running
         if not running or not all(ar.prefilled for ar in running):
             return 0
         # The step in which the earliest finisher reaches its output
         # length must run through the general path.
         limit = min(ar.request.output_tokens - ar.generated
                     for ar in running) - 1
-        limit = min(limit, max_steps)
+        limit = min(limit, self.max_steps - self.steps)
         if limit <= 0:
             return 0
+        manager = self.manager
         # The queue cannot change inside the run (fast steps push no
         # events), so the barrier — the earliest event that could
         # become due at a step boundary — is a constant.
@@ -339,7 +586,7 @@ class Pool:
         clock = manager.clock
         clocks: list[float] = []
         prices: list[float] = []
-        for step_s in islice(self.pricer.decode_steps(
+        for step_s in islice(pool.pricer.decode_steps(
                 batch, decode_context(running)), limit):
             when = clock + step_s
             if barrier is not None and barrier <= when + CLOCK_EPS:
@@ -349,14 +596,14 @@ class Pool:
             prices.append(step_s)
         if not prices:
             return 0
-        ledger = self.ledger
+        ledger = pool.ledger
         # The samples start from the run's opening charge.
         static_bytes = ledger.static_bytes
         resident_tokens = ledger.resident_tokens
         reserved_bytes = ledger.reserved_bytes
         util = ledger.pool_utilisation
         residents = ledger.active_requests
-        if self.page_size:
+        if pool.page_size:
             # The general path grows a decode step's residents in
             # arrival order; the step after the last grown one needs a
             # block the pool cannot back, and the general path preempts
@@ -372,8 +619,9 @@ class Pool:
             ledger.grow_each([*map(_REQUEST_ID, running)], committed)
         charges = {step: (reserved, after)
                    for step, reserved, after in crossed}
-        config = self.ctx.config
-        busy_s = self.busy_s
+        config = pool.ctx.config
+        samples = self.collector.samples
+        busy_s = pool.busy_s
         for step, clock, step_s in zip(range(1, committed + 1), clocks,
                                        prices):
             if step in charges:
@@ -384,545 +632,306 @@ class Pool:
             samples.append(StepSample(clock, 0, residents, batch,
                                       live_bytes, reserved_bytes, util,
                                       0.0, step_s))
-        if util > self.peak_util:
-            self.peak_util = util
-        self.busy_s = busy_s
+        if util > pool.peak_util:
+            pool.peak_util = util
+        pool.busy_s = busy_s
+        pool.steps += committed
         self.steps += committed
         manager.clock = clock
         for ar in running:
             ar.generated += committed
-        winner = self.pricer.auto_winner(batch)
+        winner = pool.pricer.auto_winner(batch)
         if winner is not None:
-            counts = auto_counts.setdefault("decode", {})
-            counts[winner] = counts.get(winner, 0) + committed
+            self.credit_auto("decode", winner, committed)
         return committed
 
-    def cluster_report(self) -> dict[str, object] | None:
-        """Multi-device report section of the last run (``None`` on a
-        single GPU)."""
-        cluster = self.cluster
-        if cluster is None:
-            return None
-        info: dict[str, object] = {
-            "parallel": self.ctx.parallel.to_dict(),
-            "cluster": cluster.describe(),
-            "link": cluster.link.name,
-            "comm_s_total": self.comm_s,
-            "comm_fraction": (self.comm_s / self.busy_s
-                              if self.busy_s > 0 else 0.0),
-        }
-        if self.placement is not None:
-            info["placement_policy"] = self.placement.policy
-            info["experts_per_device"] = list(self.placement.counts())
-        info["per_device_static_bytes"] = [
-            led.static_bytes for led in self.raw_ledger.ledgers]
-        return info
+    def route(self, candidates: list[Pool], req: Request,
+              phase: str) -> Pool:
+        if len(candidates) == 1:
+            return candidates[0]
+        return self.router.select(candidates, req,
+                                  self.table.get(req.tenant), phase)
 
+    def evict(self, pool: Pool, victim: ActiveRequest,
+              evicted: set[int]) -> None:
+        """Preempt ``victim``: free its blocks, requeue it for
+        recompute.
 
-@dataclass
-class ServedRun:
-    """What one pass of :meth:`ServingLoop.run` leaves for the report
-    (per-pool statistics stay on the pools)."""
+        A prefill-capable pool requeues it at its own queue head; a
+        decode-only pool cannot recompute, so the victim re-routes to a
+        prefill pool's.  The :class:`Preempt` event dispatches
+        immediately at the current clock — preemption is a
+        same-instant consequence of the completing step, not a
+        scheduled future."""
+        req = victim.request
+        pool.ledger.release(req.rid)
+        pool.running.remove(victim)
+        pool.residents.remove(victim)
+        home = (pool if pool.serves_prefill
+                else self.route(self.prefill_pools, req, "prefill"))
+        if self.queue_order is None:
+            home.waiting.appendleft(req)
+        else:
+            self.queue_order.insert(home.waiting, req)
+        evicted.add(req.rid)
+        self.manager.emit(Preempt(when=self.manager.clock,
+                                  victim_rid=req.rid, tenant=req.tenant))
 
-    collector: MetricsCollector
-    #: Every request's record, finished or not, in trace order.
-    records: list[RequestRecord]
-    #: Auto-dispatch section: the engine the cost-driven selector
-    #: dispatched each phase to (``None`` unless a pool runs ``auto``).
-    auto: dict[str, object] | None = None
-    #: Completed KV transfers: count, bytes, link seconds, and link
-    #: seconds per migrated request (summed over re-migrations).
-    transfers: int = 0
-    transfer_bytes: float = 0.0
-    transfer_s: float = 0.0
-    transfer_s_by_rid: dict[int, float] = field(default_factory=dict)
-
-
-class ServingLoop:
-    """The one event loop: serves a trace across a list of pools.
-
-    Holds the run-level settings both front doors validate at
-    construction — tenant classes, the scheduling policy and the
-    serving horizon — while :meth:`run` takes the pools, plus the
-    router and transfer link a multi-pool run needs.
-    """
-
-    def __init__(self, tenants: Sequence[TenantSpec] = (),
-                 scheduler: str = "youngest_first",
-                 horizon_s: float | None = None) -> None:
-        self.tenants = tuple(tenants)
-        validate_tenants(self.tenants)
-        self.policy = make_scheduler(scheduler)
-        if horizon_s is not None and horizon_s <= 0:
-            raise ConfigError("horizon_s must be positive")
-        self.horizon_s = horizon_s
-
-    def run(self, pools: Sequence[Pool], trace: Sequence[Request], *,
-            router: "RouterPolicy | None" = None,
-            link: LinkSpec | None = None,
-            max_steps: int = 1_000_000) -> ServedRun:
-        """Serve ``trace`` across ``pools`` until it is served (or the
-        horizon cuts it).
-
-        A phase with one candidate pool needs no routing decision;
-        ``router`` (fresh per run: routers are run state) picks among
-        several, and ``link`` prices the KV transfers out of
-        prefill-only pools.
-        """
-        validate_trace(trace)
-        sanitize = any(pool.sanitize for pool in pools)
-        records = {req.rid: RequestRecord(req) for req in trace}
-        policy = self.policy
-        table = {t.name: t for t in self.tenants}
-        for index, pool in enumerate(pools):
-            pool.start(index, sanitize)
-            residents = policy.resident_index(records, table)
-            pool.residents = (
-                SanitizedResidentIndex(residents, pool.running, policy,
-                                       records, table)
-                if sanitize else residents)
-        # Under a queue-reordering policy every queue stays in its
-        # order: arrivals and requeued victims insert at their key.
-        queue_order = (QueueOrder(policy, table) if policy.reorders_queue
-                       else None)
-        collector = MetricsCollector()
-        served = ServedRun(collector, list(records.values()))
-        manager = SanitizedEventManager() if sanitize else EventManager()
-        queue = manager.queue
-        auditor = KVTransferAuditor() if sanitize else None
-        # Stable name order everywhere scheduling iterates pools: the
-        # deterministic half of the routers' ``(pool_name, rid)``
-        # tie-break.
-        sched = sorted(pools, key=lambda p: p.name)
-        prefill_pools = [p for p in sched if p.serves_prefill]
-        decode_pools = [p for p in sched if p.serves_decode]
-        npools = len(pools)
-        fast = pools[0] if npools == 1 and pools[0].fast_eligible else None
-
-        # Token-rate admission gate: fresh per run (bucket levels are
-        # run state).  ``None`` when no tenant declares a rate limit,
-        # which keeps the admission path allocation-free.
-        gate = AdmissionGate(table) if table else None
-        if gate is not None and not gate:
-            gate = None
-        for pool in pools:
-            pool.batcher.admission_gate = gate
-        for req in sorted(trace, key=lambda r: (r.arrival_s, r.rid)):
-            queue.push(Arrival(when=req.arrival_s, request=req))
-        if self.horizon_s is not None:
-            queue.push(HorizonExpired(when=self.horizon_s))
-
-        steps = 0
-        #: Pools with a step in flight.
-        flying = 0
-        #: rid -> (active request, source pool, destination pool) of
-        #: every KV transfer currently on the wire.
-        migrating: dict[int, tuple[ActiveRequest, Pool, Pool]] = {}
-        #: Migrations blocked on destination admission, retried in
-        #: stable (arrival_s, rid) order whenever capacity frees.
-        pending: list[tuple[ActiveRequest, Pool]] = []
-        auto_counts: dict[str, dict[str, int]] = {}
-
-        def route(candidates: list[Pool], req: Request,
-                  phase: str) -> Pool:
-            if len(candidates) == 1:
-                return candidates[0]
-            return router.select(candidates, req, table.get(req.tenant),
-                                 phase)
-
-        def evict(pool: Pool, victim: ActiveRequest,
+    def make_room(self, pool: Pool, ar: ActiveRequest,
                   evicted: set[int]) -> None:
-            """Preempt ``victim``: free its blocks, requeue it for
-            recompute.
+        """Charge the token of KV growth the ledger refused ``ar``,
+        preempting the scheduling policy's preferred victim until it
+        fits — the youngest resident request (latest arrival) under
+        the default policy, the lowest-priority / most-slack one under
+        ``priority_slack`` — or until ``ar`` itself is evicted.
 
-            A prefill-capable pool requeues it at its own queue head; a
-            decode-only pool cannot recompute, so the victim re-routes
-            to a prefill pool's.  The :class:`Preempt` event dispatches
-            immediately at the current clock — preemption is a
-            same-instant consequence of the completing step, not a
-            scheduled future."""
-            req = victim.request
-            pool.ledger.release(req.rid)
-            pool.running.remove(victim)
-            pool.residents.remove(victim)
-            home = (pool if pool.serves_prefill
-                    else route(prefill_pools, req, "prefill"))
-            if queue_order is None:
-                home.waiting.appendleft(req)
-            else:
-                queue_order.insert(home.waiting, req)
-            evicted.add(req.rid)
-            manager.emit(Preempt(when=manager.clock, victim_rid=req.rid,
-                                 tenant=req.tenant))
-
-        def make_room(pool: Pool, ar: ActiveRequest,
-                      evicted: set[int]) -> None:
-            """Charge the token of KV growth the ledger refused ``ar``,
-            preempting the scheduling policy's preferred victim until
-            it fits — the youngest resident request (latest arrival)
-            under the default policy, the lowest-priority / most-slack
-            one under ``priority_slack`` — or until ``ar`` itself is
-            evicted.
-
-            Raises :class:`CapacityError` when ``ar`` cannot grow even
-            with the pool to itself (unless transfers out of the pool
-            will free bytes when they land: then ``ar`` recomputes
-            later).
-            """
-            ledger = pool.ledger
-            running = pool.running
-            while True:
-                victim = pool.residents.victim(manager.clock)
-                if victim is ar and len(running) == 1 and not pool.outbound:
-                    total_tokens = ar.request.total_tokens
-                    raise CapacityError(
-                        f"request {ar.request.rid} ({total_tokens} tokens) "
-                        f"exceeds device memory even alone on "
-                        f"{pool.ctx.spec.name} with {pool.ctx.engine.name}",
-                        required_bytes=int(ledger.peak_bytes(total_tokens)),
-                        available_bytes=int(ledger.budget_bytes
-                                            - ledger.static_bytes))
-                evict(pool, victim, evicted)
-                if victim is ar or ledger.grow_each((ar.request.rid,)):
-                    return
-
-        def first_token(pool: Pool, ar: ActiveRequest, clock: float) -> None:
-            """``ar``'s prompt is fully prefilled: token one is out."""
-            ar.prefilled_tokens = ar.request.prompt_tokens
-            ar.prefilled = True
-            ar.generated = 1
-            pool.prefills += 1
-            record = records[ar.request.rid]
-            if record.first_token_s is None:
-                record.first_token_s = clock
-                pool.ttft_values.append(clock - ar.request.arrival_s)
-            pool.residents.first_token(ar)
-
-        def migrate(ar: ActiveRequest, src: Pool) -> bool:
-            """Start ``ar``'s KV transfer out of ``src`` if the decode
-            pool routed to can admit it now; charge the destination
-            and schedule the :class:`KVTransfer` completion."""
-            req = ar.request
-            dst = route(decode_pools, req, "decode")
-            ledger = dst.ledger
-            if not ledger.can_admit_request(ar.context_tokens,
-                                            req.total_tokens):
-                return False
-            if auditor is not None:
-                live0_bytes = ledger.live_bytes
-            ledger.admit(req.rid, ar.context_tokens, req.total_tokens)
-            if auditor is not None:
-                # Full-model KV bytes: the cluster live-bytes sum is
-                # ep x the model's KV (tp shards cancel in the sum).
-                auditor.transfer_started(
-                    req.rid, src.name, dst.name,
-                    charged_bytes=((ledger.live_bytes - live0_bytes)
-                                   / dst.ctx.parallel.ep))
-            nbytes = kv_cache_bytes(src.ctx.config,
-                                    ar.context_tokens) * src.layers
-            transfer_s = link.transfer_seconds(nbytes)
-            queue.push(KVTransfer(when=manager.clock + transfer_s,
-                                  transfer_rid=req.rid,
-                                  src_pool=src.name, dst_pool=dst.name,
-                                  nbytes=nbytes, transfer_s=transfer_s))
-            migrating[req.rid] = (ar, src, dst)
-            src.outbound[req.rid] = ar
-            dst.inbound_tokens += max(req.total_tokens
-                                      - ar.context_tokens, 0)
-            return True
-
-        def retry_migrations() -> None:
-            blocked = sorted(pending,
-                             key=lambda item: _ARRIVAL_ORDER(item[0]))
-            pending.clear()
-            for ar, src in blocked:
-                if not migrate(ar, src):
-                    pending.append((ar, src))
-
-        def stuck() -> tuple[Request, Pool]:
-            """The request to blame for a starved run and the pool that
-            can never fit it: an unfinished partial prefill (it holds
-            the blocks); else a blocked migration (on the decode pool
-            it routes to); else the first waiting head."""
-            for pool in sched:
-                for ar in pool.running:
-                    if not ar.prefilled:
-                        return ar.request, pool
-            if pending:
-                req = pending[0][0].request
-                return req, route(decode_pools, req, "decode")
-            for pool in sched:
-                if pool.waiting:
-                    return pool.waiting[0], pool
-            raise InternalError("starved run with no stuck request")
-
-        # -- handlers ---------------------------------------------------
-        def on_arrival(event: Arrival) -> None:
-            req = event.request
-            if gate is not None and not gate.admissible(req):
-                # Larger than its tenant's bucket capacity: no amount
-                # of waiting admits it.  Reject at the door.
-                collector.reject(req.tenant)
+        Raises :class:`CapacityError` when ``ar`` cannot grow even with
+        the pool to itself (unless transfers out of the pool will free
+        bytes when they land: then ``ar`` recomputes later).
+        """
+        ledger = pool.ledger
+        running = pool.running
+        while True:
+            victim = pool.residents.victim(self.manager.clock)
+            if victim is ar and len(running) == 1 and not pool.outbound:
+                total_tokens = ar.request.total_tokens
+                raise CapacityError(
+                    f"request {ar.request.rid} ({total_tokens} tokens) "
+                    f"exceeds device memory even alone on "
+                    f"{pool.ctx.spec.name} with {pool.ctx.engine.name}",
+                    required_bytes=int(ledger.peak_bytes(total_tokens)),
+                    available_bytes=int(ledger.budget_bytes
+                                        - ledger.static_bytes))
+            self.evict(pool, victim, evicted)
+            if victim is ar or ledger.grow_each((ar.request.rid,)):
                 return
-            waiting = route(prefill_pools, req, "prefill").waiting
-            if queue_order is None:
-                waiting.append(req)
-            else:
-                queue_order.insert(waiting, req)
 
-        def on_preempt(event: Preempt) -> None:
-            collector.preempt(event.tenant)
+    def first_token(self, pool: Pool, ar: ActiveRequest,
+                    clock: float) -> None:
+        """``ar``'s prompt is fully prefilled: token one is out."""
+        ar.prefilled_tokens = ar.request.prompt_tokens
+        ar.prefilled = True
+        ar.generated = 1
+        pool.prefills += 1
+        record = self.records[ar.request.rid]
+        if record.first_token_s is None:
+            record.first_token_s = clock
+            pool.ttft_values.append(clock - ar.request.arrival_s)
+        pool.residents.first_token(ar)
 
-        def on_horizon(event: HorizonExpired) -> None:
-            manager.stop()             # plan no further steps
+    def migrate(self, ar: ActiveRequest, src: Pool) -> bool:
+        """Start ``ar``'s KV transfer out of ``src`` if the decode pool
+        routed to can admit it now; charge the destination and
+        schedule the :class:`KVTransfer` completion."""
+        req = ar.request
+        dst = self.route(self.decode_pools, req, "decode")
+        ledger = dst.ledger
+        if not ledger.can_admit_request(ar.context_tokens,
+                                        req.total_tokens):
+            return False
+        auditor = self.auditor
+        if auditor is not None:
+            live0_bytes = ledger.live_bytes
+        ledger.admit(req.rid, ar.context_tokens, req.total_tokens)
+        if auditor is not None:
+            # Full-model KV bytes: the cluster live-bytes sum is ep x
+            # the model's KV (tp shards cancel in the sum).
+            auditor.transfer_started(
+                req.rid, src.name, dst.name,
+                charged_bytes=((ledger.live_bytes - live0_bytes)
+                               / dst.ctx.parallel.ep))
+        nbytes = kv_cache_bytes(src.ctx.config,
+                                ar.context_tokens) * src.layers
+        transfer_s = self.link.transfer_seconds(nbytes)
+        self.queue.push(KVTransfer(when=self.manager.clock + transfer_s,
+                                   transfer_rid=req.rid,
+                                   src_pool=src.name, dst_pool=dst.name,
+                                   nbytes=nbytes, transfer_s=transfer_s))
+        self.migrating[req.rid] = (ar, src, dst)
+        src.outbound[req.rid] = ar
+        dst.inbound_tokens += max(req.total_tokens - ar.context_tokens, 0)
+        return True
 
-        def on_rate_refill(event: RateRefill) -> None:
-            pass    # wake-up only: planning resumes in the main loop
+    def retry_migrations(self) -> None:
+        pending = self.pending
+        blocked = sorted(pending, key=lambda item: _ARRIVAL_ORDER(item[0]))
+        pending.clear()
+        for ar, src in blocked:
+            if not self.migrate(ar, src):
+                pending.append((ar, src))
 
-        def on_kv_transfer(event: KVTransfer) -> None:
-            rid = event.transfer_rid
-            ar, src, dst = migrating.pop(rid)
-            del src.outbound[rid]
-            if auditor is not None:
-                live0_bytes = src.ledger.live_bytes
-            src.ledger.release(rid)
-            if auditor is not None:
-                auditor.transfer_completed(
-                    rid,
-                    released_bytes=((live0_bytes - src.ledger.live_bytes)
-                                    / src.ctx.parallel.ep),
-                    src_ledger=src.ledger, dst_ledger=dst.ledger)
-            dst.running.append(ar)
-            dst.residents.add(ar)
-            dst.inbound_tokens -= max(ar.request.total_tokens
-                                      - ar.context_tokens, 0)
-            by_rid = served.transfer_s_by_rid
-            by_rid[rid] = by_rid.get(rid, 0.0) + event.transfer_s
-            served.transfers += 1
-            served.transfer_bytes += event.nbytes
-            served.transfer_s += event.transfer_s
-            # The source just freed KV bytes: blocked migrations out of
-            # other pools may now fit elsewhere, and blocked *local*
-            # admissions retry at the next planning pass.
-            if pending:
-                retry_migrations()
+    def stuck(self) -> tuple[Request, Pool]:
+        """The request to blame for a starved run and the pool that can
+        never fit it: an unfinished partial prefill (it holds the
+        blocks); else a blocked migration (on the decode pool it routes
+        to); else the first waiting head."""
+        for pool in self.sched:
+            for ar in pool.running:
+                if not ar.prefilled:
+                    return ar.request, pool
+        if self.pending:
+            req = self.pending[0][0].request
+            return req, self.route(self.decode_pools, req, "decode")
+        for pool in self.sched:
+            if pool.waiting:
+                return pool.waiting[0], pool
+        raise InternalError("starved run with no stuck request")
 
-        def on_step_complete(event: StepComplete) -> None:
-            nonlocal flying
-            pool = pools[event.pool]
-            plan = pool.in_flight
-            pool.in_flight = None
-            flying -= 1
-            clock = manager.clock
-            pool.busy_s += event.step_s
-            pool.comm_s += event.comm_s
-            ledger = pool.ledger
-            running = pool.running
-            residents = pool.residents
-            evicted: set[int] = set()
-            # Every ledger-charged request must be resident before any
-            # growth, so preemption can see (and evict) all of them.
-            running.extend(plan.prefill)
-            for ar in plan.prefill:
-                residents.add(ar)
-            # Grow every token the step produced, in one order: the
-            # decodes, oldest arrival first, then the prompts it
-            # finished (whole prefills, then last chunks).  Under paged
-            # allocation the block that backs a new token may require
-            # preempting a resident request.  One ledger call grows the
-            # longest prefix that fits; only the refused request makes
-            # room, and the bulk call resumes on the survivors after
-            # it.  A request's token takes effect (one more decoded
-            # token, or a prompt's first) before a victim is chosen for
-            # it or for any later request, so the scheduling policy
-            # sees what one growth call per request would show it.
-            order = sorted(plan.decode, key=_ARRIVAL_ORDER)
-            if plan.prefill or plan.chunks:
-                for chunk in plan.chunks:
-                    chunk.ar.prefilled_tokens += chunk.tokens
-                for ar in (*plan.prefill, *(chunk.ar for chunk in plan.chunks)):
-                    record = records[ar.request.rid]
-                    if record.admitted_s is None:
-                        record.admitted_s = ar.admitted_s
-                order += plan.prefill
-                order += [chunk.ar for chunk in plan.chunks if chunk.completes]
-            finishers: list[ActiveRequest] = []
-            while order:
-                grown = ledger.grow_each([*map(_REQUEST_ID, order)])
-                for ar in order[:grown + 1]:       # the refused one too
-                    if ar.prefilled:               # a decode
-                        ar.generated += 1
-                    else:                          # a finished prompt
-                        first_token(pool, ar, clock)
-                    if ar.generated >= ar.request.output_tokens:
-                        finishers.append(ar)
-                if grown == len(order):
-                    break
-                make_room(pool, order[grown], evicted)
-                order = [ar for ar in order[grown + 1:]
-                         if ar.request.rid not in evicted]
-            if not pool.serves_decode:
-                # Prompts that finished prefilling here must decode
-                # elsewhere: start (or queue) their KV migration.
-                movers = sorted((ar for ar in running
-                                 if ar.prefilled and not ar.finished),
-                                key=_ARRIVAL_ORDER)
-                for ar in movers:
-                    running.remove(ar)
-                    residents.remove(ar)
-                    if not migrate(ar, pool):
-                        pending.append((ar, pool))
-            # Arrivals that landed during (or epsilon-past) the step
-            # join the queue before the sample, so queue-depth
-            # percentiles see them; a coinciding horizon sets the stop
-            # flag here but never suppresses the sample below.
-            manager.dispatch_due()
-            util = ledger.pool_utilisation
-            if util > pool.peak_util:
-                pool.peak_util = util
-            collector.observe(StepSample(
-                clock_s=clock,
-                queue_depth=len(pool.waiting),
-                running=ledger.active_requests,
-                step_tokens=plan.total_tokens,
-                live_bytes=ledger.live_bytes,
-                reserved_bytes=ledger.reserved_bytes,
-                pool_util=util,
-                comm_s=event.comm_s,
-                step_s=event.step_s,
-            ))
-            if finishers:
-                # Release in ``running`` order, which drops any evicted
-                # since: the collector's finish order is the summation
-                # order of the report's means.
-                finishers = list(filter(set(finishers).__contains__,
-                                        running))
-            for ar in finishers:
+    # -- handlers -------------------------------------------------------
+    def on_arrival(self, event: Arrival) -> None:
+        req = event.request
+        gate = self.gate
+        if gate is not None and not gate.admissible(req):
+            # Larger than its tenant's bucket capacity: no amount of
+            # waiting admits it.  Reject at the door.
+            self.collector.reject(req.tenant)
+            return
+        waiting = self.route(self.prefill_pools, req, "prefill").waiting
+        if self.queue_order is None:
+            waiting.append(req)
+        else:
+            self.queue_order.insert(waiting, req)
+
+    def on_preempt(self, event: Preempt) -> None:
+        self.collector.preempt(event.tenant)
+
+    def on_horizon(self, event: HorizonExpired) -> None:
+        self.manager.stop()            # plan no further steps
+
+    def on_rate_refill(self, event: RateRefill) -> None:
+        pass    # wake-up only: planning resumes in the main loop
+
+    def on_kv_transfer(self, event: KVTransfer) -> None:
+        rid = event.transfer_rid
+        ar, src, dst = self.migrating.pop(rid)
+        del src.outbound[rid]
+        auditor = self.auditor
+        if auditor is not None:
+            live0_bytes = src.ledger.live_bytes
+        src.ledger.release(rid)
+        if auditor is not None:
+            auditor.transfer_completed(
+                rid,
+                released_bytes=((live0_bytes - src.ledger.live_bytes)
+                                / src.ctx.parallel.ep),
+                src_ledger=src.ledger, dst_ledger=dst.ledger)
+        dst.running.append(ar)
+        dst.residents.add(ar)
+        dst.inbound_tokens -= max(ar.request.total_tokens
+                                  - ar.context_tokens, 0)
+        by_rid = self.transfer_s_by_rid
+        by_rid[rid] = by_rid.get(rid, 0.0) + event.transfer_s
+        self.transfers += 1
+        self.transfer_bytes += event.nbytes
+        self.transfer_s += event.transfer_s
+        # The source just freed KV bytes: blocked migrations out of
+        # other pools may now fit elsewhere, and blocked *local*
+        # admissions retry at the next planning pass.
+        if self.pending:
+            self.retry_migrations()
+
+    def on_step_complete(self, event: StepComplete) -> None:
+        pool = self.pools[event.pool]
+        plan = pool.in_flight
+        pool.in_flight = None
+        self.flying -= 1
+        clock = self.manager.clock
+        pool.busy_s += event.step_s
+        pool.comm_s += event.comm_s
+        ledger = pool.ledger
+        running = pool.running
+        residents = pool.residents
+        records = self.records
+        evicted: set[int] = set()
+        # Every ledger-charged request must be resident before any
+        # growth, so preemption can see (and evict) all of them.
+        running.extend(plan.prefill)
+        for ar in plan.prefill:
+            residents.add(ar)
+        # Grow every token the step produced, in one order: the
+        # decodes, oldest arrival first, then the prompts it finished
+        # (whole prefills, then last chunks).  Under paged allocation
+        # the block that backs a new token may require preempting a
+        # resident request.  One ledger call grows the longest prefix
+        # that fits; only the refused request makes room, and the bulk
+        # call resumes on the survivors after it.  A request's token
+        # takes effect (one more decoded token, or a prompt's first)
+        # before a victim is chosen for it or for any later request,
+        # so the scheduling policy sees what one growth call per
+        # request would show it.
+        order = sorted(plan.decode, key=_ARRIVAL_ORDER)
+        if plan.prefill or plan.chunks:
+            for chunk in plan.chunks:
+                chunk.ar.prefilled_tokens += chunk.tokens
+            for ar in (*plan.prefill, *(chunk.ar for chunk in plan.chunks)):
+                record = records[ar.request.rid]
+                if record.admitted_s is None:
+                    record.admitted_s = ar.admitted_s
+            order += plan.prefill
+            order += [chunk.ar for chunk in plan.chunks if chunk.completes]
+        finishers: list[ActiveRequest] = []
+        while order:
+            grown = ledger.grow_each([*map(_REQUEST_ID, order)])
+            for ar in order[:grown + 1]:       # the refused one too
+                if ar.prefilled:               # a decode
+                    ar.generated += 1
+                else:                          # a finished prompt
+                    self.first_token(pool, ar, clock)
+                if ar.generated >= ar.request.output_tokens:
+                    finishers.append(ar)
+            if grown == len(order):
+                break
+            self.make_room(pool, order[grown], evicted)
+            order = [ar for ar in order[grown + 1:]
+                     if ar.request.rid not in evicted]
+        if not pool.serves_decode:
+            # Prompts that finished prefilling here must decode
+            # elsewhere: start (or queue) their KV migration.
+            movers = sorted((ar for ar in running
+                             if ar.prefilled and not ar.finished),
+                            key=_ARRIVAL_ORDER)
+            for ar in movers:
                 running.remove(ar)
                 residents.remove(ar)
-                ledger.release(ar.request.rid)
-                record = records[ar.request.rid]
-                record.finished_s = clock
-                collector.finish(record)
-                pool.finished += 1
-                pool.tpot_values.append(record.tpot_s)
-            if pending:
-                retry_migrations()
-
-        manager.on(EventKind.ARRIVAL, on_arrival)
-        manager.on(EventKind.PREEMPT, on_preempt)
-        manager.on(EventKind.HORIZON_EXPIRED, on_horizon)
-        manager.on(EventKind.STEP_COMPLETE, on_step_complete)
-        manager.on(EventKind.RATE_REFILL, on_rate_refill)
-        manager.on(EventKind.KV_TRANSFER, on_kv_transfer)
-
-        while True:
-            # Same-instant events first: arrivals within the epsilon
-            # of the clock, a horizon the clock has reached.
-            manager.dispatch_due()
-            if flying == npools:
-                # Every pool is mid-step: advance to the next completion
-                # (or to whatever precedes it).
-                manager.advance()
-                continue
-            if manager.stopped:
-                if not (flying or migrating):
-                    break              # horizon reached: stop serving
-                # In-flight steps and transfers complete fully; the
-                # stop flag only gates planning.
-                manager.advance()
-                continue
-            if not (flying or migrating or pending
-                    or queue.pending_arrivals
-                    or any(p.waiting or p.running for p in pools)):
-                break                  # trace fully served
-            if fast is not None and not fast.waiting:
-                committed = fast.fast_decode_run(
-                    manager, collector.samples, auto_counts,
-                    max_steps - steps)
-                if committed:
-                    steps += committed
-                    continue
-            planned = False
-            for pool in sched:
-                if pool.in_flight is not None or not (pool.waiting
-                                                      or pool.running):
-                    continue
-                if sanitize and queue_order is not None:
-                    check_queue_order(pool.name, pool.waiting, policy,
-                                      table)
-                plan = pool.batcher.plan_step(
-                    manager.clock, pool.waiting, pool.running, pool.ledger,
-                    bool(queue.pending_arrivals))
-                for chunk in plan.chunks:
-                    if not chunk.offset:   # admitted with its first chunk
-                        pool.residents.add(chunk.ar)
-                if plan.empty:
-                    continue
-                steps += 1
-                if steps > max_steps:
-                    raise ConfigError(f"exceeded {max_steps} steps; trace "
-                                      f"too large or engine starved")
-                step_s, comm_s, winner = pool.pricer.price(plan)
-                if winner is not None:
-                    phase = ("prefill" if (plan.prefill or plan.chunks)
-                             else "decode")
-                    counts = auto_counts.setdefault(phase, {})
-                    counts[winner] = counts.get(winner, 0) + 1
-                pool.in_flight = plan
-                pool.steps += 1
-                flying += 1
-                queue.push(StepComplete(when=manager.clock + step_s,
-                                        step_s=step_s, comm_s=comm_s,
-                                        pool=pool.index))
-                planned = True
-            if planned:
-                continue
-            if flying or migrating or queue.pending_arrivals:
-                manager.advance()      # idle until the next event
-                continue
-            if gate is not None:
-                # A queue head may be rate-throttled rather than
-                # memory-blocked: schedule a wake-up at the instant its
-                # tenant's bucket has refilled enough.
-                woke = False
-                for pool in sched:
-                    if not pool.waiting:
-                        continue
-                    wake_s = gate.next_admit_s(manager.clock,
-                                               pool.waiting[0])
-                    if wake_s is not None:
-                        queue.push(RateRefill(when=wake_s))
-                        woke = True
-                if woke:
-                    manager.advance()
-                    continue
-            req, pool = stuck()
-            ledger = pool.ledger
-            raise CapacityError(
-                f"request {req.rid} ({req.total_tokens} tokens) can "
-                f"never fit on {pool.ctx.spec.name} with "
-                f"{pool.ctx.engine.name}",
-                required_bytes=int(ledger.peak_bytes(req.total_tokens)),
-                available_bytes=int(ledger.budget_bytes
-                                    - ledger.static_bytes))
-
-        if sanitize and not manager.stopped:
-            # A fully served trace must leave every ledger at its
-            # static charge and no transfer on the wire (horizon runs
-            # legitimately end with residents).
-            for pool in pools:
-                pool.ledger.assert_drained()
-            auditor.assert_drained()
-        if any(isinstance(pool.ctx.engine, AutoEngine) for pool in pools):
-            served.auto = {
-                "selected": {
-                    phase: max(counts.items(),
-                               key=lambda kv: (kv[1], kv[0]))[0]
-                    for phase, counts in auto_counts.items()},
-                "steps": {phase: dict(counts)
-                          for phase, counts in auto_counts.items()}}
-        return served
+                if not self.migrate(ar, pool):
+                    self.pending.append((ar, pool))
+        # Arrivals that landed during (or epsilon-past) the step join
+        # the queue before the sample, so queue-depth percentiles see
+        # them; a coinciding horizon sets the stop flag here but never
+        # suppresses the sample below.
+        self.manager.dispatch_due()
+        util = ledger.pool_utilisation
+        if util > pool.peak_util:
+            pool.peak_util = util
+        collector = self.collector
+        collector.observe(StepSample(
+            clock_s=clock,
+            queue_depth=len(pool.waiting),
+            running=ledger.active_requests,
+            step_tokens=plan.total_tokens,
+            live_bytes=ledger.live_bytes,
+            reserved_bytes=ledger.reserved_bytes,
+            pool_util=util,
+            comm_s=event.comm_s,
+            step_s=event.step_s,
+        ))
+        if finishers:
+            # Release in ``running`` order, which drops any evicted
+            # since: the collector's finish order is the summation
+            # order of the report's means.
+            finishers = list(filter(set(finishers).__contains__,
+                                    running))
+        for ar in finishers:
+            running.remove(ar)
+            residents.remove(ar)
+            ledger.release(ar.request.rid)
+            record = records[ar.request.rid]
+            record.finished_s = clock
+            collector.finish(record)
+            pool.finished += 1
+            pool.tpot_values.append(record.tpot_s)
+        if self.pending:
+            self.retry_migrations()
 
 
 @dataclass
@@ -1009,12 +1018,13 @@ class ServingEngine:
     def run(self, trace: Sequence[Request],
             max_steps: int = 1_000_000) -> ServeReport:
         """Serve ``trace`` to completion and summarise the run."""
-        served = self._loop.run([self.pool], trace, max_steps=max_steps)
+        loop = self._loop
+        loop.run([self.pool], trace, max_steps=max_steps)
         ctx = self.ctx
-        return summarise(served.collector, engine=ctx.engine.name,
+        return summarise(loop.collector, engine=ctx.engine.name,
                          model=ctx.config.name, gpu=ctx.spec.name,
                          batcher=self.batcher.name,
                          num_requests=len(trace),
                          cluster=self.pool.cluster_report(),
-                         auto=served.auto, tenants=self.tenants or None,
-                         all_records=served.records)
+                         auto=loop.auto, tenants=self.tenants or None,
+                         all_records=loop.records.values())

@@ -20,7 +20,7 @@ fixed RNG seed reproduces a report bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Collection, Sequence
 
 from repro.errors import ConfigError
 from repro.serve.events import CLOCK_EPS
@@ -62,6 +62,10 @@ class PercentileSummary:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "PercentileSummary":
+        """The block of ``values``; the all-zero block when there are
+        none (a run or tenant that completed nothing)."""
+        if not values:
+            return cls.zero()
         return cls(p50=percentile(values, 50.0),
                    p90=percentile(values, 90.0),
                    p99=percentile(values, 99.0),
@@ -70,7 +74,7 @@ class PercentileSummary:
 
     @classmethod
     def zero(cls) -> "PercentileSummary":
-        """The all-zero block of an empty report."""
+        """The all-zero block of no values."""
         return cls(p50=0.0, p90=0.0, p99=0.0, mean=0.0, max=0.0)
 
     @classmethod
@@ -299,25 +303,18 @@ class MetricsCollector:
 
 
 def _sample_stats(samples: "Sequence[StepSample]") -> dict[str, object]:
-    """Per-step aggregates shared by the full and zero-completion
-    reports (zeroed when no step was ever observed)."""
-    if not samples:
-        return {
-            "queue_depth": PercentileSummary.zero(),
-            "batch_tokens": PercentileSummary.zero(),
-            "max_concurrency": 0,
-            "peak_memory_bytes": 0.0,
-            "peak_reserved_bytes": 0.0,
-            "block_utilisation": PercentileSummary.zero(),
-        }
+    """Per-step aggregates of the report (zeroed when no step was ever
+    observed)."""
     return {
         "queue_depth": PercentileSummary.from_values(
             [float(s.queue_depth) for s in samples]),
         "batch_tokens": PercentileSummary.from_values(
             [float(s.step_tokens) for s in samples]),
-        "max_concurrency": max(s.running for s in samples),
-        "peak_memory_bytes": max(s.live_bytes for s in samples),
-        "peak_reserved_bytes": max(s.reserved_bytes for s in samples),
+        "max_concurrency": max((s.running for s in samples), default=0),
+        "peak_memory_bytes": max((s.live_bytes for s in samples),
+                                 default=0.0),
+        "peak_reserved_bytes": max((s.reserved_bytes for s in samples),
+                                   default=0.0),
         "block_utilisation": PercentileSummary.from_values(
             [s.pool_util for s in samples]),
     }
@@ -330,16 +327,16 @@ def _attainment(hits: int, offered: int) -> float:
 
 
 def tenant_sections(tenants: "Sequence[TenantSpec]",
-                    records: "Sequence[RequestRecord]",
+                    records: "Collection[RequestRecord]",
                     rejected: "dict[str, int] | None" = None,
                     preempted: "dict[str, int] | None" = None
                     ) -> dict[str, object]:
     """Per-tenant report blocks: one per declared tenant (in
     declaration order) plus any extra tenant the trace carried.
 
-    A tenant with zero completed requests reuses the zero-completions
-    path (:meth:`PercentileSummary.zero`) — a well-formed all-zero
-    block, never a percentile error.  SLO attainment is the fraction
+    A tenant with zero completed requests gets the all-zero block of
+    :meth:`PercentileSummary.from_values` over no values, never a
+    percentile error.  SLO attainment is the fraction
     of the tenant's *offered* requests that met the objective
     (``None`` when the tenant declared no objective).
     """
@@ -354,10 +351,8 @@ def tenant_sections(tenants: "Sequence[TenantSpec]",
         done = [r for r in recs if r.completed]
         first = [r for r in recs if r.first_token_s is not None]
         offered = len(recs)
-        ttft = (PercentileSummary.from_values([r.ttft_s for r in first])
-                if first else PercentileSummary.zero())
-        tpot = (PercentileSummary.from_values([r.tpot_s for r in done])
-                if done else PercentileSummary.zero())
+        ttft = PercentileSummary.from_values([r.ttft_s for r in first])
+        tpot = PercentileSummary.from_values([r.tpot_s for r in done])
         ttft_slo = spec.ttft_slo_s if spec is not None else None
         tpot_slo = spec.tpot_slo_s if spec is not None else None
         sections[name] = {
@@ -384,64 +379,30 @@ def tenant_sections(tenants: "Sequence[TenantSpec]",
     return sections
 
 
-def _empty_report(collector: MetricsCollector, *, engine: str, model: str,
-                  gpu: str, batcher: str, num_requests: int,
-                  cluster: dict[str, object] | None,
-                  auto: dict[str, object] | None,
-                  tenants: dict[str, object] | None = None,
-                  pools: dict[str, object] | None = None,
-                  transfer: dict[str, object] | None = None
-                  ) -> ServeReport:
-    """Well-formed report for a run where nothing completed.
-
-    A short horizon (or a trace cut off mid-flight) can finish zero
-    requests; callers sweeping load points need a structured zero, not
-    an exception from :func:`percentile` over no samples.
-    """
-    samples = collector.samples
-    return ServeReport(
-        engine=engine,
-        model=model,
-        gpu=gpu,
-        batcher=batcher,
-        num_requests=num_requests,
-        completed=0,
-        duration_s=samples[-1].clock_s if samples else 0.0,
-        steps=len(samples),
-        qps_sustained=0.0,
-        output_tokens_per_s=0.0,
-        ttft_s=PercentileSummary.zero(),
-        tpot_s=PercentileSummary.zero(),
-        queueing_s=PercentileSummary.zero(),
-        preemptions=collector.preemptions,
-        cluster=cluster,
-        auto=auto,
-        tenants=tenants,
-        pools=pools,
-        transfer=transfer,
-        **_sample_stats(samples),  # type: ignore[arg-type]
-    )
-
-
 def summarise(collector: MetricsCollector, *, engine: str, model: str,
               gpu: str, batcher: str, num_requests: int,
               cluster: dict[str, object] | None = None,
               auto: dict[str, object] | None = None,
               tenants: "Sequence[TenantSpec] | None" = None,
-              all_records: "Sequence[RequestRecord] | None" = None,
+              all_records: "Collection[RequestRecord] | None" = None,
               pools: dict[str, object] | None = None,
               transfer: dict[str, object] | None = None
               ) -> ServeReport:
     """Fold a run's samples and records into a :class:`ServeReport`.
 
-    Zero completed requests yield a well-formed empty report (all
-    percentile blocks zeroed) rather than an error; ``cluster`` (the
-    multi-device section) and ``auto`` (the auto-dispatch section) are
-    attached verbatim when present.  ``tenants`` (with ``all_records``,
-    every request's record whether finished or not) attaches the
-    per-tenant section; ``None`` keeps the single-tenant report shape.
-    ``pools`` / ``transfer`` are the disaggregated-serving sections
-    (:mod:`repro.serve.disagg`), attached verbatim when present.
+    One path serves every run.  A short horizon (or a trace cut off
+    mid-flight) can finish zero requests: the report is then a
+    structured zero — every latency block all zero, no rate, and the
+    duration of the last observed step's clock — not an exception from
+    :func:`percentile` over no samples.  ``cluster`` (the multi-device
+    section) and ``auto`` (the auto-dispatch section) are attached
+    verbatim when present; the cluster section gains the per-step
+    communication-fraction block when a step was observed.
+    ``tenants`` (with ``all_records``, every request's record whether
+    finished or not) attaches the per-tenant section; ``None`` keeps
+    the single-tenant report shape.  ``pools`` / ``transfer`` are the
+    disaggregated-serving sections (:mod:`repro.serve.disagg`),
+    attached verbatim when present.
     """
     done = [r for r in collector.records if r.completed]
     if cluster is not None and collector.samples:
@@ -456,19 +417,18 @@ def summarise(collector: MetricsCollector, *, engine: str, model: str,
             else collector.records,
             rejected=collector.rejected_by_tenant,
             preempted=collector.preemptions_by_tenant)
-    if not done:
-        return _empty_report(collector, engine=engine, model=model,
-                             gpu=gpu, batcher=batcher,
-                             num_requests=num_requests, cluster=cluster,
-                             auto=auto, tenants=tenant_blocks,
-                             pools=pools, transfer=transfer)
     samples = collector.samples
-    if not samples:
+    if done and not samples:
         raise ConfigError("completed requests but no observed steps")
-    first_arrival_s = min(r.request.arrival_s for r in done)
-    last_finish_s = max(r.finished_s for r in done)        # type: ignore
-    duration_s = max(last_finish_s - first_arrival_s, CLOCK_EPS)
-    out_tokens = sum(r.request.output_tokens for r in done)
+    duration_s = samples[-1].clock_s if samples else 0.0
+    qps_sustained = output_tokens_per_s = 0.0
+    if done:
+        first_arrival_s = min(r.request.arrival_s for r in done)
+        last_finish_s = max(r.finished_s for r in done)    # type: ignore
+        duration_s = max(last_finish_s - first_arrival_s, CLOCK_EPS)
+        qps_sustained = len(done) / duration_s
+        output_tokens_per_s = (sum(r.request.output_tokens for r in done)
+                               / duration_s)
     return ServeReport(
         engine=engine,
         model=model,
@@ -477,9 +437,9 @@ def summarise(collector: MetricsCollector, *, engine: str, model: str,
         num_requests=num_requests,
         completed=len(done),
         duration_s=duration_s,
-        steps=len(collector.samples),
-        qps_sustained=len(done) / duration_s,
-        output_tokens_per_s=out_tokens / duration_s,
+        steps=len(samples),
+        qps_sustained=qps_sustained,
+        output_tokens_per_s=output_tokens_per_s,
         ttft_s=PercentileSummary.from_values([r.ttft_s for r in done]),
         tpot_s=PercentileSummary.from_values([r.tpot_s for r in done]),
         queueing_s=PercentileSummary.from_values(

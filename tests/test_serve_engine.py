@@ -30,7 +30,7 @@ from repro.serve import (
     poisson_trace,
     replay_trace,
 )
-from repro.serve.engine import Pool, ServingEngine
+from repro.serve.engine import Pool, ServingEngine, ServingLoop
 
 CFG = MODEL_REGISTRY["mixtral-8x7b"]
 SEED = 7
@@ -322,17 +322,19 @@ class TestLifecycle:
         assert first.completed == second.completed == 6
 
 
-def count_fast_steps(engine):
-    """The steps each fast run of ``engine``'s pool commits, as a list
-    the runs append to."""
+def count_fast_steps(monkeypatch, engine):
+    """The steps each fast run on ``engine``'s pool commits, as a list
+    the runs append to (until ``monkeypatch`` restores the loop)."""
     committed = []
-    fast_run = engine.pool.fast_decode_run
+    fast_run = ServingLoop.fast_decode_run
 
-    def counted(*args):
-        committed.append(fast_run(*args))
-        return committed[-1]
+    def counted(loop, pool):
+        steps = fast_run(loop, pool)
+        if pool is engine.pool:
+            committed.append(steps)
+        return steps
 
-    engine.pool.fast_decode_run = counted
+    monkeypatch.setattr(ServingLoop, "fast_decode_run", counted)
     return committed
 
 
@@ -345,10 +347,10 @@ FAST_CASES = list(itertools.product(("continuous", "chunked"),
 class TestFastPath:
     """The uneventful-decode fast path changes no byte of a report."""
 
-    def test_pool_steps_count_fast_steps(self, ctx):
+    def test_pool_steps_count_fast_steps(self, monkeypatch, ctx):
         engine = ServingEngine(ctx=ctx, num_layers=1, seed=SEED,
                                sanitize=False)
-        committed = count_fast_steps(engine)
+        committed = count_fast_steps(monkeypatch, engine)
         report = engine.run(poisson_trace(
             12, 5.0, prompt_tokens=128, output_tokens=200, jitter=0.5,
             seed=1))
@@ -384,7 +386,7 @@ class TestFastPath:
             server = ServingEngine(
                 ctx=ctx, batcher=make_batcher(batcher), num_layers=1,
                 seed=5, page_size=page_size, sanitize=sanitize)
-            committed = count_fast_steps(server)
+            committed = count_fast_steps(monkeypatch, server)
             result = server.run(trace)
             return json.dumps(result.to_dict(), sort_keys=True), committed
 
