@@ -18,7 +18,7 @@ golden tests pin this).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.api.spec import DeploymentSpec
@@ -113,10 +113,7 @@ class Deployment:
         return ExecutionContext.create(
             model.name, pool.engine or model.engine,
             pool.gpu or hw.gpu, streams=hw.streams,
-            flash=model.flash,
-            parallel=pool.parallel if pool.parallel is not None
-            else None,
-            link=hw.link)
+            flash=model.flash, parallel=pool.parallel, link=hw.link)
 
     def build_pool_batcher(self, pool: PoolSpec) -> Batcher:
         """One pool's batching policy: pool overrides over
@@ -133,8 +130,9 @@ class Deployment:
 
         Colocated specs (``serving.pools`` unset) build the classic
         :class:`ServingEngine`.  A *degenerate* pool set — one pool
-        serving both phases — also runs colocated (with the pool's
-        overrides applied), which is what pins the degenerate-config
+        serving both phases — also runs colocated, with the pool's
+        overrides applied and ``hardware.parallel`` where the pool sets
+        no ``parallel``, which is what pins the degenerate-config
         report byte-identical to a pool-free spec.  Genuine multi-pool
         specs build a :class:`DisaggServingEngine` over one
         :class:`~repro.serve.engine.Pool` per pool; each pool's
@@ -160,14 +158,16 @@ class Deployment:
                  for p in pools],
                 link=serving.transfer_link, router=serving.router,
                 **run_settings)
-        degenerate = pools[0] if pools is not None else None
-        ctx = (self.build_pool_context(degenerate)
-               if degenerate is not None and (
-                   degenerate.gpu or degenerate.engine
-                   or degenerate.parallel)
-               else self.build_context())
-        batcher = (self.build_pool_batcher(degenerate)
-                   if degenerate is not None else self.build_batcher())
+        if pools is None:
+            ctx, batcher = self.build_context(), self.build_batcher()
+        else:
+            degenerate = pools[0]
+            if degenerate.parallel is None:
+                degenerate = replace(
+                    degenerate,
+                    parallel=self.spec.hardware.parallel.describe())
+            ctx = self.build_pool_context(degenerate)
+            batcher = self.build_pool_batcher(degenerate)
         return ServingEngine(ctx=ctx, batcher=batcher, **pool_settings,
                              **run_settings)
 

@@ -75,6 +75,25 @@ class TestGoldenEquivalence:
         assert report.cluster["parallel"]["ep"] == 4
         assert report.cluster["parallel"]["tp"] == 2
 
+    def test_degenerate_pool_inherits_hardware_parallel(self):
+        """A one-pool ``role: both`` spec is colocated serving: a pool
+        that restates the device still runs ``hardware.parallel``, and
+        its report equals the pool-free spec's byte for byte."""
+        def payload(**serving):
+            return {"model": {"num_layers": 1},
+                    "hardware": {"gpu": "a100", "parallel": "ep=2"},
+                    "serving": serving,
+                    "workload": {"requests": 4, "qps": 8.0,
+                                 "prompt_tokens": 64,
+                                 "output_tokens": 4, "seed": 5}}
+
+        plain = Deployment.from_dict(payload())
+        restated = Deployment.from_dict(payload(
+            pools=[{"name": "p", "role": "both", "gpu": "a100"}]))
+        assert restated.build_engine().ctx.parallel.ep == 2
+        assert (json.dumps(restated.run().to_dict())
+                == json.dumps(plain.run().to_dict()))
+
     def test_sweep_points_match_scale_strong_series(self):
         """cluster_sweep.yaml's ep=1,2,4 points equal engines built
         directly for the points `repro bench scale --devices 1,2,4`
