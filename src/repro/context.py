@@ -137,10 +137,6 @@ class ExecutionContext:
     def with_engine(self, engine: MoEEngine | str) -> "ExecutionContext":
         return replace(self, engine=resolve_engine(engine))
 
-    def with_spec(self, spec: GPUSpec | str) -> "ExecutionContext":
-        return replace(self, spec=spec if isinstance(spec, GPUSpec)
-                       else get_gpu(spec))
-
     def with_parallel(self, parallel: ParallelPlan | str,
                       cluster: ClusterSpec | None = None
                       ) -> "ExecutionContext":

@@ -58,12 +58,6 @@ def unpack_metadata_tile(packed: np.ndarray) -> np.ndarray:
     return tile
 
 
-def thread_word_elements(packed: bool) -> int:
-    """2-bit elements per 32-bit register word a thread consumes (16)."""
-    del packed
-    return 32 // 2
-
-
 def metadata_load_transactions(tiles: int, packed: bool,
                                transaction_bits: int = 32) -> int:
     """Memory transactions to feed ``tiles`` metadata tiles to the SpTC.

@@ -307,10 +307,6 @@ class ClusterSpec:
         return self.link
 
     # -- alpha-beta collective costs -----------------------------------
-    def p2p_seconds(self, nbytes: float) -> float:
-        """One point-to-point transfer between two cluster devices."""
-        return self.link.transfer_seconds(nbytes)
-
     def allreduce_seconds(self, nbytes: float, group_size: int) -> float:
         """Ring all-reduce of an ``nbytes`` buffer over ``group_size``
         devices: ``2 (p-1)`` latency hops, ``2 (p-1)/p`` of the buffer

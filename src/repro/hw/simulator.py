@@ -110,10 +110,6 @@ class CostBreakdown:
         """Effective throughput in TFLOP/s (zeros counted, like the paper)."""
         return self.flops / self.time_s / 1e12 if self.time_s > 0 else 0.0
 
-    @property
-    def achieved_bandwidth(self) -> float:
-        return self.dram_bytes / self.time_s if self.time_s > 0 else 0.0
-
     def speedup_over(self, other: "CostBreakdown") -> float:
         """``other.time / self.time`` — how much faster ``self`` is."""
         if self.time_s <= 0:

@@ -52,10 +52,6 @@ class MmaShape:
         return self.m * k_stored * self.dtype_bytes
 
     @property
-    def b_fragment_bytes(self) -> int:
-        return self.k * self.n * self.dtype_bytes
-
-    @property
     def metadata_bytes(self) -> int:
         """2-bit metadata per stored A element (sparse only)."""
         if not self.sparse:

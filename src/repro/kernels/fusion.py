@@ -15,7 +15,6 @@ accounting feeds the layer-level cost models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,13 +33,6 @@ class FusionPlan:
         """Standalone elementwise kernels needed when fusion is off."""
         return (0 if self.fuse_activation else 1) + \
                (0 if self.fuse_weighted_acc else 1)
-
-
-def fused_gemm_activation(gemm_out: np.ndarray,
-                          activation: Callable[[np.ndarray], np.ndarray]
-                          ) -> np.ndarray:
-    """Apply ``activation`` as if fused into the GEMM epilogue."""
-    return activation(gemm_out)
 
 
 def fused_weighted_accumulate(acc: np.ndarray, expert_out: np.ndarray,

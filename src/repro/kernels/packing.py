@@ -75,15 +75,3 @@ def metadata_tile_bytes(mb: int, kb: int, subrow_density: float,
     tiles = max(1, bits // (TILE * TILE * 2))
     words = metadata_load_transactions(tiles, packed=plan.metadata_packed)
     return words * 4.0
-
-
-def packing_speedup_estimate(plan: PackingPlan) -> float:
-    """Rough kernel-level factor packing contributes (for reports only)."""
-    factor = 1.0
-    if not plan.a_swizzled:
-        factor *= 0.85
-    if not plan.b_transposed:
-        factor *= 0.55
-    if not plan.metadata_packed:
-        factor *= 0.93
-    return factor

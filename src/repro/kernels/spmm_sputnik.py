@@ -26,15 +26,6 @@ def sputnik_spmm(weight: CsrMatrix, dense_rhs: np.ndarray) -> np.ndarray:
     return weight.matmul(dense_rhs)
 
 
-def row_imbalance_factor(weight: CsrMatrix) -> float:
-    """Warp-level load imbalance: max/mean non-zeros per row (capped)."""
-    row_nnz = weight.row_nnz()
-    mean = float(row_nnz.mean()) if row_nnz.size else 0.0
-    if mean <= 0:
-        return 1.0
-    return float(min(2.0, row_nnz.max() / mean))
-
-
 class SputnikKernel(MatmulKernel):
     """Cost model of Sputnik's CSR SpMM."""
 

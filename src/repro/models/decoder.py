@@ -75,9 +75,6 @@ def norm_seconds(config: MoEModelConfig, tokens: int,
                   + spec.kernel_launch_overhead_s)
 
 
-_norm_seconds = norm_seconds
-
-
 def boundary_comm_seconds(config: MoEModelConfig, tokens: int,
                           parallel: ParallelPlan,
                           cluster: ClusterSpec) -> float:
@@ -141,7 +138,7 @@ def decoder_cost(config: MoEModelConfig, tokens: int, spec: GPUSpec,
         engine = ENGINES[engine]
     attn = attention_cost(config, tokens, spec, batch=batch, flash=flash)
     moe = engine.cost(config, tokens * batch, spec, num_shared=num_shared)
-    norm_s = _norm_seconds(config, tokens * batch, spec)
+    norm_s = norm_seconds(config, tokens * batch, spec)
     terms = _parallel_terms(config, tokens * batch, spec, parallel,
                             cluster)
     if terms is None:

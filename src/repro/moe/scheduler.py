@@ -231,11 +231,6 @@ class ExpertPlacement:
             out[device] += 1
         return tuple(out)
 
-    @property
-    def max_device_experts(self) -> int:
-        """Expert count on the most loaded device (weight bottleneck)."""
-        return max(self.counts())
-
 
 def place_experts(num_experts: int, ep: int,
                   policy: str = "round_robin",
@@ -311,14 +306,6 @@ class ExpertParallelResult:
     def comm_fraction(self) -> float:
         total_s = self.makespan_s
         return self.alltoall_s / total_s if total_s > 0 else 0.0
-
-    @property
-    def device_imbalance(self) -> float:
-        """max/mean device busy time (1.0 = perfectly balanced)."""
-        if not self.per_device_s:
-            return 1.0
-        mean = sum(self.per_device_s) / len(self.per_device_s)
-        return self.compute_s / mean if mean > 0 else 1.0
 
 
 def device_makespans(segments: "Iterable[float]",
