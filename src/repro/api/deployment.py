@@ -129,11 +129,12 @@ class Deployment:
         """The serving engine, ready to ``run()`` a trace.
 
         Colocated specs (``serving.pools`` unset) build the classic
-        :class:`ServingEngine`.  A *degenerate* pool set — one pool
-        serving both phases — also runs colocated, with the pool's
-        overrides applied and ``hardware.parallel`` where the pool sets
-        no ``parallel``, which is what pins the degenerate-config
-        report byte-identical to a pool-free spec.  Genuine multi-pool
+        :class:`ServingEngine` over one ``role: both`` pool without
+        overrides.  A *degenerate* pool set — one pool serving both
+        phases — also runs colocated, with the pool's overrides
+        applied and ``hardware.parallel`` where the pool sets no
+        ``parallel``, which is what pins the degenerate-config report
+        byte-identical to a pool-free spec.  Genuine multi-pool
         specs build a :class:`DisaggServingEngine` over one
         :class:`~repro.serve.engine.Pool` per pool; each pool's
         parallel plan comes from its own ``parallel`` field
@@ -158,18 +159,13 @@ class Deployment:
                  for p in pools],
                 link=serving.transfer_link, router=serving.router,
                 **run_settings)
-        if pools is None:
-            ctx, batcher = self.build_context(), self.build_batcher()
-        else:
-            degenerate = pools[0]
-            if degenerate.parallel is None:
-                degenerate = replace(
-                    degenerate,
-                    parallel=self.spec.hardware.parallel.describe())
-            ctx = self.build_pool_context(degenerate)
-            batcher = self.build_pool_batcher(degenerate)
-        return ServingEngine(ctx=ctx, batcher=batcher, **pool_settings,
-                             **run_settings)
+        pool = pools[0] if pools is not None else PoolSpec("colocated")
+        if pool.parallel is None:
+            pool = replace(pool,
+                           parallel=self.spec.hardware.parallel.describe())
+        return ServingEngine(ctx=self.build_pool_context(pool),
+                             batcher=self.build_pool_batcher(pool),
+                             **pool_settings, **run_settings)
 
     # ------------------------------------------------------------------
     # Execution
