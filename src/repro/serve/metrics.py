@@ -390,26 +390,24 @@ def summarise(collector: MetricsCollector, *, engine: str, model: str,
               ) -> ServeReport:
     """Fold a run's samples and records into a :class:`ServeReport`.
 
-    One path serves every run.  A short horizon (or a trace cut off
-    mid-flight) can finish zero requests: the report is then a
-    structured zero — every latency block all zero, no rate, and the
-    duration of the last observed step's clock — not an exception from
-    :func:`percentile` over no samples.  ``cluster`` (the multi-device
-    section) and ``auto`` (the auto-dispatch section) are attached
-    verbatim when present; the cluster section gains the per-step
-    communication-fraction block when a step was observed.
-    ``tenants`` (with ``all_records``, every request's record whether
-    finished or not) attaches the per-tenant section; ``None`` keeps
-    the single-tenant report shape.  ``pools`` / ``transfer`` are the
+    Every run takes one path: a run that completed nothing (a short
+    horizon, a trace cut off mid-flight) reports all-zero latency
+    blocks and rates, not a :func:`percentile` error.  ``cluster``
+    (the multi-device section) and ``auto`` (the auto-dispatch
+    section) are attached verbatim when present.  ``tenants`` (with
+    ``all_records``, every request's record whether finished or not)
+    attaches the per-tenant section; ``None`` keeps the single-tenant
+    report shape.  ``pools`` / ``transfer`` are the
     disaggregated-serving sections (:mod:`repro.serve.disagg`),
     attached verbatim when present.
     """
     done = [r for r in collector.records if r.completed]
-    if cluster is not None and collector.samples:
+    samples = collector.samples
+    if cluster is not None and samples:
         cluster = dict(cluster)
         cluster["comm_fraction_per_step"] = PercentileSummary.from_values(
             [s.comm_s / s.step_s if s.step_s > 0 else 0.0
-             for s in collector.samples]).to_dict()
+             for s in samples]).to_dict()
     tenant_blocks = None
     if tenants is not None:
         tenant_blocks = tenant_sections(
@@ -417,7 +415,6 @@ def summarise(collector: MetricsCollector, *, engine: str, model: str,
             else collector.records,
             rejected=collector.rejected_by_tenant,
             preempted=collector.preemptions_by_tenant)
-    samples = collector.samples
     if done and not samples:
         raise ConfigError("completed requests but no observed steps")
     duration_s = samples[-1].clock_s if samples else 0.0
