@@ -76,7 +76,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.context import ExecutionContext
@@ -375,7 +375,7 @@ class ServingLoop:
         # Stable name order everywhere scheduling iterates pools: the
         # deterministic half of the routers' ``(pool_name, rid)``
         # tie-break.
-        self.sched = sched = sorted(pools, key=lambda p: p.name)
+        self.sched = sched = sorted(pools, key=attrgetter("name"))
         self.prefill_pools = [p for p in sched if p.serves_prefill]
         self.decode_pools = [p for p in sched if p.serves_decode]
         self.router = router
@@ -392,7 +392,7 @@ class ServingLoop:
         self.gate = gate
         for pool in pools:
             pool.batcher.admission_gate = gate
-        for req in sorted(trace, key=lambda r: (r.arrival_s, r.rid)):
+        for req in sorted(trace, key=attrgetter("arrival_s", "rid")):
             queue.push(Arrival(when=req.arrival_s, request=req))
         if self.horizon_s is not None:
             queue.push(HorizonExpired(when=self.horizon_s))
@@ -517,8 +517,7 @@ class ServingLoop:
         if any(isinstance(pool.ctx.engine, AutoEngine) for pool in pools):
             self.auto = {
                 "selected": {
-                    phase: max(counts.items(),
-                               key=lambda kv: (kv[1], kv[0]))[0]
+                    phase: max(counts.items(), key=itemgetter(1, 0))[0]
                     for phase, counts in self.auto_counts.items()},
                 "steps": {phase: dict(counts)
                           for phase, counts in self.auto_counts.items()}}
