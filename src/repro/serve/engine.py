@@ -319,7 +319,7 @@ class ServingLoop:
     the run object: :meth:`run` sets the run's state on it, as
     :meth:`Pool.start` does for a pool, and each event kind has one
     handler method.  The state stays readable until the next run
-    starts: ``collector``, ``records`` (every request's record,
+    starts: ``collector``, ``records`` (rid -> every request's record,
     finished or not, in trace order), ``auto`` (the engine the
     cost-driven selector dispatched each phase to, ``None`` unless a
     pool runs ``auto``) and the completed KV transfers (``transfers``,
