@@ -24,6 +24,9 @@ but with the data flow of its namesake system:
 Functional ``run`` faces compute exact numpy results (dense engines agree
 with each other to float tolerance; Samoyeds agrees with the pruned-weight
 reference).  ``cost`` faces return simulated :class:`CostBreakdown`.
+Each engine also declares its device-memory footprint —
+``FIXED_OVERHEAD``, ``WEIGHT_FACTOR`` and :meth:`MoEEngine.workspace_bytes`
+— which :mod:`repro.moe.memory_model` turns into Table 3's max batch.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ from repro.moe.experts import ExpertWeights
 from repro.moe.router import RoutingPlan
 from repro.registry.capabilities import Capabilities
 from repro.registry.core import Registry
+from repro.utils.units import MIB
+
+#: Bytes per element of the footprint model's fp16 tensors.
+DTYPE = 2
 
 
 def _expert_forward(x_e: np.ndarray, expert: ExpertWeights,
@@ -161,6 +168,31 @@ class MoEEngine(abc.ABC):
              num_shared: int | None = None) -> CostBreakdown:
         """Simulated MoE-layer latency for ``tokens`` tokens."""
 
+    # ------------------------------------------------------------------
+    # Memory footprint (Table 3, combined by repro.moe.memory_model)
+    # ------------------------------------------------------------------
+    #: Framework fixed overhead in bytes: CUDA context + allocator state.
+    FIXED_OVERHEAD: float
+    #: Resident bytes per dense fp16 expert-weight byte, repacked copies
+    #: included.
+    WEIGHT_FACTOR: float
+
+    def fixed_overhead_bytes(self, config: MoEModelConfig) -> float:
+        """:attr:`FIXED_OVERHEAD` with ``config`` deployed (a meta
+        engine bounds it over the engines it may pick for ``config``)."""
+        del config
+        return float(self.FIXED_OVERHEAD)
+
+    def weight_factor(self, config: MoEModelConfig) -> float:
+        """:attr:`WEIGHT_FACTOR` with ``config`` deployed."""
+        del config
+        return self.WEIGHT_FACTOR
+
+    @abc.abstractmethod
+    def workspace_bytes(self, config: MoEModelConfig,
+                        seq_len: int) -> float:
+        """Per-sequence MoE data-flow workspace at context ``seq_len``."""
+
     # Helpers shared by subclasses ------------------------------------
     def _gemms(self, config: MoEModelConfig, spec: GPUSpec, shape: int,
                routed: Callable[[int], list[CostBreakdown]],
@@ -217,13 +249,48 @@ def _elementwise_pass_seconds(rows: int, cols: int, spec: GPUSpec,
     return passes * (per_pass + spec.kernel_launch_overhead_s)
 
 
+def _einsum_dispatch_bytes(config: MoEModelConfig, seq_len: int) -> float:
+    """OpenMoE-style one-hot dispatch workspace (fp32 einsum path): the
+    one-hot dispatch/combine tensors plus fp32 per-expert capacity
+    buffers, which make its baselines' footprint explode."""
+    capacity = math.ceil(seq_len * config.top_k / config.num_experts * 1.25)
+    dispatch_combine = 2.0 * seq_len * config.num_experts * capacity * 4
+    expert_buffers = (config.num_experts * capacity
+                      * (config.hidden_size
+                         + 2 * config.intermediate_size) * 4)
+    return dispatch_combine + expert_buffers
+
+
+def _padded_workspace_bytes(config: MoEModelConfig, seq_len: int,
+                            tile_rows: int) -> float:
+    """Grouped-GEMM staging: input rows plus the gate/up intermediates
+    of the routed tokens, each expert padded to ``tile_rows``."""
+    padded = LayerWorkload(config, seq_len).padded_routed_tokens(tile_rows)
+    return (padded * config.hidden_size
+            + 2.0 * padded * config.intermediate_size) * DTYPE
+
+
 class TransformersEngine(MoEEngine):
     """HuggingFace Transformers reference (the paper's Vanilla)."""
 
     name = "transformers"
+    FIXED_OVERHEAD = 800 * MIB
+    WEIGHT_FACTOR = 1.0
 
     def __init__(self) -> None:
         self._kernel = DenseGemmKernel()
+
+    def workspace_bytes(self, config: MoEModelConfig,
+                        seq_len: int) -> float:
+        if config.activation == "gelu_tanh":    # OpenMoE's T5X path
+            return _einsum_dispatch_bytes(config, seq_len)
+        routed = seq_len * config.top_k
+        # Permuted input copies, expert-output copies and the weighted
+        # un-permutation staging (Figure 5's three extra tensors).
+        permuted = 3.0 * routed * config.hidden_size * DTYPE
+        per_expert = (3.0 * (routed / config.num_experts)
+                      * config.intermediate_size * DTYPE)
+        return permuted + per_expert
 
     def _run_routed(self, x, plan, experts, activation, out):
         # Materialise the permuted tensors exactly as Figure 5 shows.
@@ -275,6 +342,8 @@ class MegaBlocksEngine(MoEEngine):
 
     name = "megablocks"
     BLOCK_ROWS = 128
+    FIXED_OVERHEAD = 1200 * MIB
+    WEIGHT_FACTOR = 2.3        # native copy + block-sparse repack + indices
 
     def __init__(self) -> None:
         kernel = DenseGemmKernel()
@@ -284,6 +353,11 @@ class MegaBlocksEngine(MoEEngine):
 
     def supports(self, config: MoEModelConfig) -> bool:
         return supported_by_fused_kernels(config.activation)
+
+    def workspace_bytes(self, config: MoEModelConfig,
+                        seq_len: int) -> float:
+        self.check_supported(config)
+        return _padded_workspace_bytes(config, seq_len, self.BLOCK_ROWS)
 
     def cost(self, config: MoEModelConfig, tokens: int, spec: GPUSpec,
              num_shared: int | None = None) -> CostBreakdown:
@@ -312,6 +386,8 @@ class VllmEngine(MoEEngine):
 
     name = "vllm-ds"
     TILE_ROWS = 64
+    FIXED_OVERHEAD = 1500 * MIB
+    WEIGHT_FACTOR = 2.3        # native copy + fused-kernel layout + padding
 
     def __init__(self) -> None:
         kernel = DenseGemmKernel()
@@ -321,6 +397,11 @@ class VllmEngine(MoEEngine):
 
     def supports(self, config: MoEModelConfig) -> bool:
         return supported_by_fused_kernels(config.activation)
+
+    def workspace_bytes(self, config: MoEModelConfig,
+                        seq_len: int) -> float:
+        self.check_supported(config)
+        return _padded_workspace_bytes(config, seq_len, self.TILE_ROWS)
 
     def cost(self, config: MoEModelConfig, tokens: int, spec: GPUSpec,
              num_shared: int | None = None) -> CostBreakdown:
@@ -347,12 +428,25 @@ class PitEngine(MoEEngine):
 
     name = "pit"
     MICRO_TILE = 16
+    FIXED_OVERHEAD = 1000 * MIB
+    WEIGHT_FACTOR = 1.35       # micro-tile index tables
 
     def __init__(self) -> None:
         kernel = DenseGemmKernel()
         kernel.EFFICIENCY = 0.82
         kernel.name = "pit-mtile-gemm"
         self._kernel = kernel
+
+    def workspace_bytes(self, config: MoEModelConfig,
+                        seq_len: int) -> float:
+        if config.activation == "gelu_tanh":    # OpenMoE's T5X path
+            return _einsum_dispatch_bytes(config, seq_len)
+        # The gathered micro-tiles pad the whole routed batch at once
+        # (not per expert, unlike ``cost``'s segments).
+        padded = (math.ceil(seq_len * config.top_k / self.MICRO_TILE)
+                  * self.MICRO_TILE)
+        return (2.0 * padded * config.hidden_size
+                + 2.0 * padded * config.intermediate_size) * DTYPE
 
     def cost(self, config: MoEModelConfig, tokens: int, spec: GPUSpec,
              num_shared: int | None = None) -> CostBreakdown:
@@ -382,6 +476,9 @@ class SamoyedsEngine(MoEEngine):
     """The paper's system: dual-side sparse SSMM with fused data flow."""
 
     name = "samoyeds"
+    FIXED_OVERHEAD = 600 * MIB
+    #: 25% kept values (x2B) + 2-bit metadata per kept value + indices.
+    WEIGHT_FACTOR = 0.28125
 
     def __init__(self, pattern: SamoyedsPattern = DEFAULT_PATTERN,
                  features: SamoyedsFeatures | None = None) -> None:
@@ -398,6 +495,14 @@ class SamoyedsEngine(MoEEngine):
     def tile_rows(self, config: MoEModelConfig) -> int:
         """n-tile: narrowed for many-expert models (§4.2, §6.2)."""
         return 64 if config.num_experts > 16 else 128
+
+    def workspace_bytes(self, config: MoEModelConfig,
+                        seq_len: int) -> float:
+        # No permutation copies; the act(gate)*up fusion leaves a single
+        # compressed intermediate (routed rows only) plus the SEL arrays.
+        routed = seq_len * config.top_k
+        return (routed * config.intermediate_size
+                + routed * config.hidden_size / 4.0) * DTYPE
 
     def capabilities(self) -> Capabilities:
         return Capabilities(

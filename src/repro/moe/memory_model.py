@@ -16,6 +16,15 @@ Models a single decoder layer, matching the paper's measurement setup
   capacity buffers) is what makes its baseline footprint explode and
   yields the paper's out-sized 18.67x max-batch boost for Samoyeds.
 * **fragmentation margin** — 5% of capacity held back, as allocators do.
+
+The engine-specific terms belong to the engines
+(:mod:`repro.moe.layers`): each declares ``FIXED_OVERHEAD``,
+``WEIGHT_FACTOR`` and ``workspace_bytes``.  Every function here takes
+an engine *name*, resolves it through the ``ENGINES`` registry and
+asks the engine.  The cost-driven dispatcher (``engine="auto"``)
+answers each term with the maximum over the fixed engines that support
+the model, so admission control can never over-admit whichever engine
+the selector picks per step.
 """
 
 from __future__ import annotations
@@ -29,77 +38,15 @@ from repro.errors import CapacityError, ConfigError
 from repro.hw.interconnect import ParallelPlan
 from repro.hw.spec import GPUSpec
 from repro.moe.config import MoEModelConfig
-from repro.utils.units import GIB, MIB
-
-#: Samoyeds bytes per dense fp16 weight byte:
-#: 25% kept values (x2B) + 2-bit metadata per kept value + indices.
-SAMOYEDS_WEIGHT_FACTOR = 0.28125
-
-#: Engine-specific constants (bytes unless noted).
-FIXED_OVERHEAD = {
-    "transformers": 800 * MIB,
-    "megablocks": 1200 * MIB,
-    "vllm-ds": 1500 * MIB,
-    "pit": 1000 * MIB,
-    "samoyeds": 600 * MIB,
-}
-
-#: Expert-weight resident factor (repacked copies included).
-WEIGHT_FACTOR = {
-    "transformers": 1.0,
-    "megablocks": 2.3,      # native copy + block-sparse repack + indices
-    "vllm-ds": 2.3,         # native copy + fused-kernel layout + padding
-    "pit": 1.35,            # micro-tile index tables
-    "samoyeds": SAMOYEDS_WEIGHT_FACTOR,
-}
+from repro.moe.layers import DTYPE, ENGINES
+from repro.utils.units import GIB
 
 FRAGMENTATION = 0.05
-DTYPE = 2                   # fp16
-
-#: The cost-driven dispatcher (``engine="auto"``) has no fixed layout:
-#: its footprint is charged as the *elementwise maximum* over the fixed
-#: engines that support the model, so admission control can never
-#: over-admit regardless of which engine the selector picks per step.
-AUTO_ENGINE_NAME = "auto"
-
-
-def _auto_candidates(config: MoEModelConfig) -> list[str]:
-    """Fixed engines whose footprint bounds an ``auto`` deployment.
-
-    Asks the live engine registry which contestants *support* the
-    model (the same ``supports()`` gate the selector uses, so this can
-    never drift from the dispatch logic).  A selectable engine with no
-    memory-model entries (a third-party registration that skipped
-    ``WEIGHT_FACTOR`` / ``FIXED_OVERHEAD``) fails loudly here: the
-    selector could dispatch to it, so silently bounding over the known
-    engines only would break the never-over-admit guarantee.
-    """
-    from repro.moe.layers import ENGINES    # lazy: no import cycle
-    out = []
-    for name, engine in ENGINES.items():
-        if getattr(engine, "is_meta", False):
-            continue
-        if not engine.supports(config):
-            continue                        # NS pair: never selectable
-        if name not in WEIGHT_FACTOR or name not in FIXED_OVERHEAD:
-            raise ConfigError(
-                f"engine {name!r} is selectable by engine='auto' but "
-                f"has no memory-model entries; add it to "
-                f"repro.moe.memory_model WEIGHT_FACTOR/FIXED_OVERHEAD "
-                f"(see DESIGN.md 'Plugin registry & auto dispatch')")
-        out.append(name)
-    return out or list(WEIGHT_FACTOR)
 
 
 def fixed_overhead_bytes(config: MoEModelConfig, engine: str) -> float:
-    """Framework fixed overhead; the candidate maximum for ``auto``."""
-    if engine == AUTO_ENGINE_NAME:
-        return max(float(FIXED_OVERHEAD[name])
-                   for name in _auto_candidates(config))
-    try:
-        return float(FIXED_OVERHEAD[engine])
-    except KeyError:
-        raise ConfigError(f"unknown engine {engine!r}") from None
+    """Framework fixed overhead of ``engine`` with ``config`` deployed."""
+    return ENGINES.get(engine).fixed_overhead_bytes(config)
 
 
 @dataclass(frozen=True)
@@ -152,15 +99,9 @@ def weight_bytes(config: MoEModelConfig, engine: str,
     expert-parallel group (every token visits them) but still shard
     over ``tp``.
     """
-    if engine == AUTO_ENGINE_NAME:
-        return max(weight_bytes(config, name, parallel, device_experts)
-                   for name in _auto_candidates(config))
+    factor = ENGINES.get(engine).weight_factor(config)
     attn = config.attention_param_count * DTYPE
     moe_dense = config.moe_param_count * DTYPE
-    try:
-        factor = WEIGHT_FACTOR[engine]
-    except KeyError:
-        raise ConfigError(f"unknown engine {engine!r}") from None
     trivial = parallel is None or parallel.is_trivial
     if trivial and device_experts is None:
         # Attention stays dense for every engine: the paper (and the
@@ -192,58 +133,10 @@ def _base_activation_bytes(config: MoEModelConfig, seq_len: int) -> float:
     return 6.0 * seq_len * config.hidden_size * DTYPE
 
 
-def _einsum_dispatch_bytes(config: MoEModelConfig, seq_len: int) -> float:
-    """OpenMoE-style one-hot dispatch workspace (fp32 einsum path)."""
-    capacity = math.ceil(seq_len * config.top_k / config.num_experts * 1.25)
-    dispatch_combine = 2.0 * seq_len * config.num_experts * capacity * 4
-    expert_buffers = (config.num_experts * capacity
-                      * (config.hidden_size
-                         + 2 * config.intermediate_size) * 4)
-    return dispatch_combine + expert_buffers
-
-
 def moe_workspace_bytes(config: MoEModelConfig, seq_len: int,
                         engine: str) -> float:
     """Per-sequence MoE data-flow workspace for ``engine``."""
-    if engine == AUTO_ENGINE_NAME:
-        return max(moe_workspace_bytes(config, seq_len, name)
-                   for name in _auto_candidates(config))
-    tokens = seq_len
-    routed = tokens * config.top_k
-    h, inter = config.hidden_size, config.intermediate_size
-
-    if engine == "samoyeds":
-        # No permutation copies; the act(gate)*up fusion leaves a single
-        # compressed intermediate (routed rows only) plus the SEL arrays.
-        return (routed * inter + routed * h / 4.0) * DTYPE
-
-    if config.activation not in ("silu", "gelu") and engine in (
-            "megablocks", "vllm-ds"):
-        raise ConfigError(
-            f"{engine} does not support {config.name}")
-
-    uses_einsum = config.activation == "gelu_tanh"  # OpenMoE's T5X path
-    if uses_einsum and engine in ("transformers", "pit"):
-        return _einsum_dispatch_bytes(config, seq_len)
-
-    if engine == "transformers":
-        # Permuted input copies, expert-output copies and the weighted
-        # un-permutation staging (Figure 5's three extra tensors).
-        permuted = 3.0 * routed * h * DTYPE
-        per_expert = 3.0 * (routed / config.num_experts) * inter * DTYPE
-        return permuted + per_expert
-    if engine == "megablocks":
-        padded = math.ceil(routed / config.num_experts / 128) * 128 \
-            * config.num_experts
-        return (padded * h + 2.0 * padded * inter) * DTYPE
-    if engine == "vllm-ds":
-        padded = math.ceil(routed / config.num_experts / 64) * 64 \
-            * config.num_experts
-        return (padded * h + 2.0 * padded * inter) * DTYPE
-    if engine == "pit":
-        padded = math.ceil(routed / 16) * 16
-        return (2.0 * padded * h + 2.0 * padded * inter) * DTYPE
-    raise ConfigError(f"unknown engine {engine!r}")
+    return ENGINES.get(engine).workspace_bytes(config, seq_len)
 
 
 def footprint(config: MoEModelConfig, engine: str, seq_len: int,

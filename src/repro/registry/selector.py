@@ -277,6 +277,30 @@ class AutoEngine(MoEEngine):
         winner = self.select(config, 4096, spec)
         return winner.segment_kernel(config, spec)
 
+    # Memory footprint: each term is the maximum over every candidate
+    # that supports the model (on any device), so admission charges
+    # what the most memory-hungry pick would hold and never over-admits.
+    def _footprint_engines(self, config: "MoEModelConfig"
+                           ) -> "list[MoEEngine]":
+        self.check_supported(config)
+        return [engine for _, engine in self.candidates()
+                if engine.supports(config)]
+
+    def fixed_overhead_bytes(self, config: "MoEModelConfig") -> float:
+        return max(engine.fixed_overhead_bytes(config)
+                   for engine in self._footprint_engines(config))
+
+    def weight_factor(self, config: "MoEModelConfig") -> float:
+        """The largest factor: the weight bytes grow with it, so they
+        are the largest candidate's."""
+        return max(engine.weight_factor(config)
+                   for engine in self._footprint_engines(config))
+
+    def workspace_bytes(self, config: "MoEModelConfig",
+                        seq_len: int) -> float:
+        return max(engine.workspace_bytes(config, seq_len)
+                   for engine in self._footprint_engines(config))
+
     def cost(self, config: "MoEModelConfig", tokens: int,
              spec: "GPUSpec",
              num_shared: "int | None" = None) -> "CostBreakdown":

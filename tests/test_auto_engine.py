@@ -275,24 +275,33 @@ class TestAutoMemoryModel:
                    if engine.supports(cfg))
         assert auto_mb <= mins
 
-    def test_selectable_engine_without_memory_entries_fails_loudly(self):
-        """An engine auto could dispatch to but whose footprint the
-        memory model cannot bound must fail admission loudly, not
-        silently under-charge (the never-over-admit guarantee)."""
-        from repro.moe.layers import ENGINES as LIVE, TransformersEngine
-        from repro.moe.layers import register_engine
+    def test_third_party_engine_joins_auto_bound(self):
+        """DESIGN.md's recipe: a registered engine that declares its
+        footprint serves by name and joins auto's memory bound."""
+        from repro.api import Deployment, DeploymentSpec
+        from repro.moe.layers import VllmEngine, register_engine
+        from repro.utils.units import MIB
+
+        class Mine(VllmEngine):
+            name = "mine"
+            FIXED_OVERHEAD = 3000 * MIB
+
         cfg = MODEL_REGISTRY.get("mixtral-8x7b")
-        spec = get_gpu("rtx4070s")
-        engine = TransformersEngine()
-        engine.name = "no-memory-entries"
-        register_engine(engine)
+        register_engine(Mine())
         try:
-            with pytest.raises(ConfigError, match="memory-model"):
-                footprint(cfg, "auto", 1024, spec)
+            auto_fp = footprint(cfg, "auto", 1024, get_gpu("a100"))
+            assert auto_fp.fixed_bytes == 3000 * MIB
+            for engine in ("mine", "auto"):
+                report = Deployment(DeploymentSpec.from_dict({
+                    "model": {"engine": engine, "num_layers": 1},
+                    "workload": {"requests": 4, "qps": 4.0,
+                                 "prompt_tokens": 128,
+                                 "output_tokens": 4},
+                })).run()
+                assert report.engine == engine
+                assert report.completed == 4
         finally:
-            LIVE.unregister("no-memory-entries")
-        # Registry restored: the bound computes again.
-        assert footprint(cfg, "auto", 1024, spec).weights_bytes > 0
+            ENGINES.unregister("mine")
 
 
 class TestServeAutoReport:

@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import CapacityError, ConfigError
 from repro.moe import MODEL_REGISTRY, max_batch_size
+from repro.moe.layers import SamoyedsEngine
 from repro.moe.memory_model import (
-    SAMOYEDS_WEIGHT_FACTOR,
     footprint,
     kv_cache_bytes,
     moe_workspace_bytes,
@@ -23,7 +23,7 @@ class TestWeights:
         assert sparse < dense
         # Expert weights compressed to 28.125%; attention stays dense.
         expected = (cfg.attention_param_count * 2
-                    + cfg.moe_param_count * 2 * SAMOYEDS_WEIGHT_FACTOR)
+                    + cfg.moe_param_count * 2 * SamoyedsEngine.WEIGHT_FACTOR)
         assert sparse == pytest.approx(expected)
 
     def test_repacked_frameworks_hold_more(self):
