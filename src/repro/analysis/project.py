@@ -6,10 +6,9 @@ Rules receive two views:
   predicates (``in_dir("serve")``, ``matches("utils/rng.py")``) so
   path-scoped rules never re-implement path splitting;
 * :class:`Project` — the whole linted file set with lazy cross-file
-  indices (class table, transitive base-class closure, module-level
-  dict-literal keys).  Cross-file rules such as REP003 ("every engine
-  has a memory-model entry") resolve inheritance and look up the
-  ``WEIGHT_FACTOR`` tables through the project, so fixture tests can
+  indices (class table, transitive base-class closure).  Cross-file
+  rules such as REP003 ("every engine declares its memory footprint")
+  resolve inheritance through the project, so fixture tests can
   exercise them on two small temp files instead of the real tree.
 """
 
@@ -30,6 +29,20 @@ def dotted_name(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a class-body statement defines: a function, or the plain
+    targets of an assignment with a value."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+        targets = [stmt.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
 @dataclass
@@ -64,7 +77,6 @@ class Project:
     def __init__(self, modules: list[ModuleInfo]) -> None:
         self.modules = list(modules)
         self._class_index: dict[str, tuple[ModuleInfo, ast.ClassDef]] | None = None
-        self._dict_keys: dict[str, set[str] | None] = {}
 
     # ------------------------------------------------------------------
     # Class table and inheritance closure
@@ -111,7 +123,8 @@ class Project:
         return seen
 
     def resolves_method(self, cls: ast.ClassDef, method: str) -> bool | None:
-        """Does ``cls`` (or an in-set ancestor) define ``method``?
+        """Does ``cls`` (or an in-set ancestor) define ``method``, as a
+        function or as a class-body assignment with a value?
 
         Returns ``None`` when the chain leaves the linted set before an
         answer is found — the rule should stay silent rather than guess.
@@ -125,8 +138,7 @@ class Project:
                 continue
             seen.add(node.name)
             for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and stmt.name == method:
+                if method in defined_names(stmt):
                     return True
             for base in self.base_names(node):
                 if base in ("object", "ABC"):
@@ -137,31 +149,3 @@ class Project:
                 else:
                     frontier.append(entry[1])
         return None if escaped else False
-
-    # ------------------------------------------------------------------
-    # Module-level dict literals (the memory-model tables)
-    # ------------------------------------------------------------------
-    def dict_literal_keys(self, varname: str) -> set[str] | None:
-        """String keys of every top-level ``varname = {...}`` assignment
-        in the set, or ``None`` if no such assignment exists anywhere."""
-        if varname not in self._dict_keys:
-            keys: set[str] = set()
-            found = False
-            for module in self.modules:
-                for stmt in module.tree.body:
-                    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                        continue
-                    targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                               else [stmt.target])
-                    if not any(isinstance(t, ast.Name) and t.id == varname
-                               for t in targets):
-                        continue
-                    value = stmt.value
-                    if isinstance(value, ast.Dict):
-                        found = True
-                        for key in value.keys:
-                            if isinstance(key, ast.Constant) \
-                                    and isinstance(key.value, str):
-                                keys.add(key.value)
-            self._dict_keys[varname] = keys if found else None
-        return self._dict_keys[varname]

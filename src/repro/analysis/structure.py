@@ -4,11 +4,12 @@ REP003 (registry hygiene): every concrete engine/kernel class — one
 that subclasses ``MoEEngine``/``MatmulKernel`` or is decorated with
 ``@ENGINES.register``/``@KERNELS.register`` — must resolve a
 ``capabilities()`` method (the ``engine="auto"`` selector dispatches on
-it), and every concrete *engine* must appear in the memory model's
-``WEIGHT_FACTOR`` and ``FIXED_OVERHEAD`` tables (``repro bench
-maxbatch`` prices it from those).  Meta engines (``is_meta = True``,
-e.g. the auto selector) price through their delegates and are exempt
-from the table check.
+it), and every concrete *engine* must declare (or inherit) its memory
+footprint: ``FIXED_OVERHEAD``, ``WEIGHT_FACTOR`` and
+``workspace_bytes()`` (``repro bench maxbatch`` and serving admission
+price it from those).  Meta engines (``is_meta = True``, e.g. the auto
+selector) bound their footprint over their delegates and are exempt
+from the footprint check.
 
 REP004 (event discipline): every subclass of the calendar's ``Event``
 must be a ``@dataclass(frozen=True)``, and no code may write
@@ -21,7 +22,12 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.findings import Finding
-from repro.analysis.project import ModuleInfo, Project, dotted_name
+from repro.analysis.project import (
+    ModuleInfo,
+    Project,
+    defined_names,
+    dotted_name,
+)
 from repro.analysis.rules import LintRule, register_rule
 
 ENGINE_ROOTS = ("MoEEngine",)
@@ -30,7 +36,8 @@ REGISTER_DECORATORS = {
     "ENGINES.register": "engine", "KERNELS.register": "kernel",
     "register_engine": "engine", "register_kernel": "kernel",
 }
-MEMORY_TABLES = ("WEIGHT_FACTOR", "FIXED_OVERHEAD")
+#: What :mod:`repro.moe.memory_model` asks every fixed engine.
+FOOTPRINT_MEMBERS = ("FIXED_OVERHEAD", "WEIGHT_FACTOR", "workspace_bytes")
 
 EVENT_ROOT = "Event"
 #: The calendar's concrete event types, recognised even when the
@@ -39,30 +46,10 @@ EVENT_TYPE_NAMES = {"Event", "Arrival", "StepComplete", "Preempt",
                     "HorizonExpired"}
 
 
-def _class_attr_str(cls: ast.ClassDef, attr: str) -> str | None:
-    """Value of a ``attr = "literal"`` class-body assignment."""
-    for stmt in cls.body:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-        if any(isinstance(t, ast.Name) and t.id == attr for t in targets):
-            value = stmt.value
-            if isinstance(value, ast.Constant) \
-                    and isinstance(value.value, str):
-                return value.value
-    return None
-
-
 def _class_attr_true(cls: ast.ClassDef, attr: str) -> bool:
     for stmt in cls.body:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-        if any(isinstance(t, ast.Name) and t.id == attr for t in targets):
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) \
+                and attr in defined_names(stmt):
             value = stmt.value
             return isinstance(value, ast.Constant) and value.value is True
     return False
@@ -80,8 +67,8 @@ def _registered_kind(cls: ast.ClassDef) -> str | None:
 @register_rule
 class RegistryHygiene(LintRule):
     code = "REP003"
-    summary = ("registered engines/kernels declare capabilities() and "
-               "a memory-model entry")
+    summary = ("registered engines/kernels declare capabilities(); "
+               "engines declare their memory footprint")
 
     def check(self, module: ModuleInfo,
               project: Project) -> list[Finding]:
@@ -115,16 +102,13 @@ class RegistryHygiene(LintRule):
                 "compatibility gates require it"))
 
         if kind == "engine" and not _class_attr_true(cls, "is_meta"):
-            name = _class_attr_str(cls, "name")
-            if name is not None:
-                for table in MEMORY_TABLES:
-                    keys = project.dict_literal_keys(table)
-                    if keys is not None and name not in keys:
-                        findings.append(self.finding(
-                            module, cls,
-                            f"engine `{name}` has no entry in the "
-                            f"memory model's {table} table; maxbatch/"
-                            "admission cannot price it"))
+            for member in FOOTPRINT_MEMBERS:
+                if project.resolves_method(cls, member) is False:
+                    findings.append(self.finding(
+                        module, cls,
+                        f"engine class `{cls.name}` does not declare (or "
+                        f"inherit) {member}; maxbatch/admission cannot "
+                        "price its memory footprint"))
         return findings
 
     @staticmethod

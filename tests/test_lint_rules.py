@@ -158,9 +158,6 @@ class TestUnitDiscipline:
 # REP003 — registry hygiene
 # ----------------------------------------------------------------------
 ENGINE_OK = """\
-WEIGHT_FACTOR = {"fast": 1.0}
-FIXED_OVERHEAD = {"fast": 0.0}
-
 class MoEEngine:
     def capabilities(self):
         return ()
@@ -168,27 +165,29 @@ class MoEEngine:
 @ENGINES.register("fast")
 class FastEngine(MoEEngine):
     name = "fast"
+    FIXED_OVERHEAD = 0.0
+    WEIGHT_FACTOR: float = 1.0
     def capabilities(self):
         return ("dense",)
+    def workspace_bytes(self, config, seq_len):
+        return 0.0
 """
 
 ENGINE_NO_CAPS = """\
-WEIGHT_FACTOR = {"slow": 1.0}
-FIXED_OVERHEAD = {"slow": 0.0}
-
 class MoEEngine:
-    pass
+    FIXED_OVERHEAD = 0.0
+    WEIGHT_FACTOR = 1.0
+    def workspace_bytes(self, config, seq_len):
+        return 0.0
 
 @ENGINES.register("slow")
 class SlowEngine(MoEEngine):
     name = "slow"
 """
 
-ENGINE_NO_TABLE = """\
-WEIGHT_FACTOR = {"other": 1.0}
-FIXED_OVERHEAD = {"other": 0.0}
-
+ENGINE_NO_FOOTPRINT = """\
 class MoEEngine:
+    FIXED_OVERHEAD: float
     def capabilities(self):
         return ()
 
@@ -213,12 +212,17 @@ class TestRegistryHygiene:
         assert "capabilities" in findings[0].message
 
     def test_missing_memory_table_entry_flagged(self, tmp_path):
-        findings = lint_tree(tmp_path, {"moe/layers.py": ENGINE_NO_TABLE},
+        """An engine that declares no memory footprint (an annotation
+        alone declares none) is flagged once per missing member."""
+        findings = lint_tree(tmp_path,
+                             {"moe/layers.py": ENGINE_NO_FOOTPRINT},
                              select=["REP003"])
         assert codes(findings) == ["REP003"]
+        assert len(findings) == 3
         messages = " ".join(f.message for f in findings)
         assert "WEIGHT_FACTOR" in messages
         assert "FIXED_OVERHEAD" in messages
+        assert "workspace_bytes" in messages
 
 
 # ----------------------------------------------------------------------
