@@ -138,6 +138,10 @@ def bursty_trace(num_requests: int, rate_qps: float,
     static batching.  ``eos_sampling`` switches output lengths to the
     geometric EOS model (see :func:`poisson_trace`).
     """
+    if num_requests <= 0:
+        raise ConfigError("num_requests must be positive")
+    if rate_qps <= 0:
+        raise ConfigError("rate_qps must be positive")
     if burst_factor <= 1.0:
         raise ConfigError("burst_factor must exceed 1")
     if burst_len <= 0:

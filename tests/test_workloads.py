@@ -13,6 +13,7 @@ from repro.workloads import (
     TenantSpec,
     WorkloadFactory,
     assign_tenants,
+    bursty_trace,
     diurnal_trace,
     flash_crowd_trace,
     load_trace_csv,
@@ -84,6 +85,16 @@ class TestGenerators:
             flash_crowd_trace(4, 8.0, crowd_factor=1.0)
         with pytest.raises(ConfigError, match="crowd_duration_s"):
             flash_crowd_trace(4, 8.0, crowd_duration_s=0.0)
+
+    @pytest.mark.parametrize("generator", [
+        poisson_trace, bursty_trace, diurnal_trace, flash_crowd_trace])
+    @pytest.mark.parametrize("num_requests,rate_qps,field", [
+        (0, 2.0, "num_requests"), (4, 0.0, "rate_qps"),
+        (4, -1.0, "rate_qps")])
+    def test_bad_count_or_rate_raises_config_error(
+            self, generator, num_requests, rate_qps, field):
+        with pytest.raises(ConfigError, match=field):
+            generator(num_requests, rate_qps)
 
 
 class TestCsvLoader:
