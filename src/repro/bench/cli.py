@@ -151,15 +151,17 @@ def cmd_roofline(args: argparse.Namespace) -> int:
         return 2
     spec = get_gpu(args.gpu)
     points = []
-    # Pattern levels skipped beyond the hardware 2:4 raise a kernel's
-    # *effective* compute roof: sub-row selection (Samoyeds) and column
-    # selection (VENOM) both skip half the work at 75% sparsity.
-    skip = {"samoyeds": 2.0, "venom": 2.0}
-    for name, kernel in KERNELS.items():
+    for kernel in KERNELS.values():
         cost = kernel.cost(args.m, args.k, args.n, spec)
-        sparse = name in ("samoyeds", "venom", "cusparselt")
+        caps = kernel.capabilities()
+        sparse = caps.needs_sparse_tensor_cores
+        # Pattern levels skipped beyond the hardware 2:4 raise a sparse
+        # kernel's *effective* compute roof: sub-row selection
+        # (Samoyeds) and column selection (VENOM) both skip half the
+        # work at 75% sparsity.
+        skip = 0.5 / caps.a_density if sparse else 1.0
         points.append(place(cost, spec, sparse=sparse,
-                            zero_skip_factor=skip.get(name, 1.0)))
+                            zero_skip_factor=skip))
     print(render(points))
     return 0
 

@@ -32,6 +32,37 @@ class TestCommands:
                      "--n", "1024"]) == 0
         assert "roofline" in capsys.readouterr().out
 
+    def test_roofline_roofs_follow_kernel_capabilities(self, monkeypatch,
+                                                      capsys):
+        """Each kernel's roof comes from its capabilities, not its name:
+        a renamed Samoyeds kernel gets the Samoyeds roof."""
+        import repro.bench.cli as cli
+        from repro.kernels import KERNELS, register_kernel
+        from repro.kernels.ssmm_samoyeds import SamoyedsKernel
+
+        roofs = {}
+        place = cli.place
+
+        def spy(cost, spec, sparse=False, zero_skip_factor=1.0):
+            roofs[cost.name] = (sparse, zero_skip_factor)
+            return place(cost, spec, sparse=sparse,
+                         zero_skip_factor=zero_skip_factor)
+
+        monkeypatch.setattr(cli, "place", spy)
+        renamed = SamoyedsKernel()
+        renamed.name = "my-ssmm"
+        register_kernel(renamed)
+        try:
+            assert main(["roofline", "--m", "1024", "--k", "1024",
+                         "--n", "1024"]) == 0
+        finally:
+            KERNELS.unregister("my-ssmm")
+        capsys.readouterr()
+        assert roofs == {
+            "cublas": (False, 1.0), "sputnik": (False, 1.0),
+            "cusparselt": (True, 1.0), "venom": (True, 2.0),
+            "samoyeds": (True, 2.0), "my-ssmm": (True, 2.0)}
+
     def test_tune_command(self, capsys):
         assert main(["tune", "--m", "1024", "--k", "1024",
                      "--n", "1024"]) == 0
