@@ -63,10 +63,6 @@ class CsrMatrix:
         m, k = self.shape
         return self.nnz / (m * k) if m * k else 0.0
 
-    def row_nnz(self) -> np.ndarray:
-        """Non-zeros per row — the load-balance profile Sputnik tunes for."""
-        return np.diff(self.indptr)
-
     def nbytes(self, value_bytes: int = 2, index_bytes: int = 4) -> int:
         return (self.nnz * (value_bytes + index_bytes)
                 + self.indptr.size * index_bytes)

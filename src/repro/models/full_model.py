@@ -17,7 +17,6 @@ from repro.hw.spec import GPUSpec
 from repro.models.decoder import decoder_cost
 from repro.moe.config import MoEModelConfig
 from repro.moe.memory_model import (
-    DTYPE,
     FRAGMENTATION,
     fixed_overhead_bytes,
     kv_cache_bytes,
@@ -203,6 +202,3 @@ def min_devices_for_model(config: MoEModelConfig, engine: str,
         if (weights + kv) / devices + workspace <= budget:
             return devices
     raise CapacityError(f"{config.name} needs more than 128 {spec.name}s")
-
-
-DTYPE_BYTES = DTYPE

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigError
-from repro.hw.interconnect import ParallelPlan, parse_parallel
+from repro.hw.interconnect import parse_parallel
 from repro.hw.spec import get_gpu
 from repro.moe.layers import ENGINES
 from repro.serve.batcher import BATCHER_NAMES
@@ -112,17 +112,6 @@ class PoolSpec:
     @property
     def serves_decode(self) -> bool:
         return self.role in ("decode", "both")
-
-    @property
-    def plan(self) -> ParallelPlan:
-        """The pool's parallel plan (identity when unset)."""
-        if self.parallel is None:
-            return ParallelPlan()
-        return parse_parallel(self.parallel)
-
-    @property
-    def num_devices(self) -> int:
-        return self.plan.num_devices
 
     # -- wire format ----------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

@@ -55,12 +55,6 @@ class TestCsr:
         assert np.allclose(CsrMatrix.from_dense(dense).matmul(rhs),
                            dense @ rhs)
 
-    def test_row_nnz(self, rng):
-        dense = _sparse_dense(rng)
-        csr = CsrMatrix.from_dense(dense)
-        assert np.array_equal(csr.row_nnz(),
-                              np.count_nonzero(dense, axis=1))
-
     def test_bad_indptr_rejected(self):
         with pytest.raises(FormatError):
             CsrMatrix(indptr=np.array([0, 2]), indices=np.array([0]),
