@@ -612,8 +612,11 @@ def register_engine(engine: MoEEngine,
     Collisions raise :class:`ConfigError` unless ``replace=True``
     (mirrors :func:`repro.hw.spec.register_gpu`).  This is the whole
     third-party surface: subclass :class:`MoEEngine`, declare
-    :meth:`~MoEEngine.capabilities`, register — every front door
-    (``ExecutionContext``, specs, CLI, ``engine="auto"``) then sees it.
+    :meth:`~MoEEngine.capabilities` and the memory footprint
+    (``FIXED_OVERHEAD``, ``WEIGHT_FACTOR``,
+    :meth:`~MoEEngine.workspace_bytes`), register — every front door
+    (``ExecutionContext``, specs, CLI, ``engine="auto"``, the memory
+    model) then sees it.
     """
     return ENGINES.register(engine.name, engine, replace=replace)
 
