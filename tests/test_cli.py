@@ -32,8 +32,7 @@ class TestCommands:
                      "--n", "1024"]) == 0
         assert "roofline" in capsys.readouterr().out
 
-    def test_roofline_roofs_follow_kernel_capabilities(self, monkeypatch,
-                                                      capsys):
+    def test_roofline_roofs_follow_kernel_capabilities(self, monkeypatch):
         """Each kernel's roof comes from its capabilities, not its name:
         a renamed Samoyeds kernel gets the Samoyeds roof."""
         import repro.bench.cli as cli
@@ -57,7 +56,6 @@ class TestCommands:
                          "--n", "1024"]) == 0
         finally:
             KERNELS.unregister("my-ssmm")
-        capsys.readouterr()
         assert roofs == {
             "cublas": (False, 1.0), "sputnik": (False, 1.0),
             "cusparselt": (True, 1.0), "venom": (True, 2.0),
