@@ -21,7 +21,7 @@ The engine-specific terms belong to the engines
 (:mod:`repro.moe.layers`): each declares ``FIXED_OVERHEAD``,
 ``WEIGHT_FACTOR`` and ``workspace_bytes``.  Every function here takes
 an engine *name*, resolves it through the ``ENGINES`` registry and
-asks the engine.  The cost-driven dispatcher (``engine="auto"``)
+asks the engine.  The cost-driven dispatcher (the ``auto`` engine)
 answers each term with the maximum over the fixed engines that support
 the model, so admission control can never over-admit whichever engine
 the selector picks per step.
