@@ -34,7 +34,11 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ConfigError("cannot take a percentile of no samples")
     if not 0.0 <= q <= 100.0:
         raise ConfigError("percentile must be in [0, 100]")
-    ordered = sorted(values)
+    return _ranked(sorted(values), q)
+
+
+def _ranked(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of already sorted, non-empty ``ordered``."""
     if len(ordered) == 1:
         return float(ordered[0])
     pos = (len(ordered) - 1) * q / 100.0
@@ -66,11 +70,14 @@ class PercentileSummary:
         none (a run or tenant that completed nothing)."""
         if not values:
             return cls.zero()
-        return cls(p50=percentile(values, 50.0),
-                   p90=percentile(values, 90.0),
-                   p99=percentile(values, 99.0),
+        ordered = sorted(values)
+        # The mean sums in recorded order: the sorted copy would round
+        # differently.
+        return cls(p50=_ranked(ordered, 50.0),
+                   p90=_ranked(ordered, 90.0),
+                   p99=_ranked(ordered, 99.0),
                    mean=sum(values) / len(values),
-                   max=float(max(values)))
+                   max=float(ordered[-1]))
 
     @classmethod
     def zero(cls) -> "PercentileSummary":

@@ -42,6 +42,17 @@ class TestPercentile:
         with pytest.raises(ConfigError):
             percentile([1.0], 101.0)
 
+    def test_summary_block_sorts_once_and_means_in_recorded_order(self):
+        """The block's ranks are :func:`percentile`'s and ``max``'s; its
+        mean sums the values as recorded, which a left-to-right float
+        sum rounds otherwise than the sorted order."""
+        values = [1e16, 1.0, -1e16, 1.0, 3.0, 3.0, 2.5]
+        block = PercentileSummary.from_values(values)
+        assert (block.p50, block.p90, block.p99) == tuple(
+            percentile(values, q) for q in (50.0, 90.0, 99.0))
+        assert block.max == max(values)
+        assert block.mean == sum(values) / len(values)
+
 
 def _record(rid, arrival, admitted, first, finished, output=4):
     rec = RequestRecord(Request(rid=rid, arrival_s=arrival,
