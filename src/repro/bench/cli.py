@@ -53,7 +53,7 @@ import sys
 from repro.api.spec import ENGINE_ALIASES  # canonical alias map
 from repro.bench.figures import EXPERIMENTS, run_experiment
 from repro.bench.report import render_json, render_table
-from repro.errors import CapacityError, ConfigError
+from repro.errors import CapacityError, ConfigError, ReproError
 from repro.hw.interconnect import list_links
 from repro.hw.roofline import place, render
 from repro.hw.spec import get_gpu, list_gpus
@@ -219,7 +219,6 @@ def _parse_pools(raw: str) -> list[dict[str, str]]:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.api import Deployment, DeploymentSpec
-    from repro.errors import ReproError
     from repro.hw.interconnect import parse_parallel
     from repro.moe.layers import ENGINES
     from repro.serve.metrics import REPORT_HEADERS
@@ -953,7 +952,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        # A model rejection the command did not handle itself, such as
+        # a kernel the device cannot run: a usage error, not a crash.
+        print(f"repro bench {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.cli import build_parser, main
+from repro.hw.spec import list_gpus
 
 
 class TestParser:
@@ -119,6 +120,26 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"repro bench {command}: " in err
         assert "must be >= 0" in err
+
+    @pytest.mark.parametrize("gpu", list_gpus())
+    @pytest.mark.parametrize("command", ["kernels", "tune", "roofline",
+                                         "sim"])
+    def test_every_gpu_runs_or_fails_in_one_line(self, capsys, tmp_path,
+                                                 command, gpu):
+        """No traceback on any registered device: each command exits 0,
+        or 2 with one stderr line (w7900 has no sparse ALU)."""
+        if command == "sim":
+            argv = ["sim", "--requests", "20",
+                    "--output", str(tmp_path / "sim.json")]
+        else:
+            argv = [command, "--m", "64", "--k", "64", "--n", "64"]
+        code = main(argv + ["--gpu", gpu])
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith(f"repro bench {command}: ")
+            assert len(err.splitlines()) == 1
+        else:
+            assert code == 0
 
     def test_experiments_single(self, capsys):
         assert main(["experiments", "fig11"]) == 0
