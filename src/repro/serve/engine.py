@@ -108,7 +108,7 @@ from repro.serve.batcher import (
     ContinuousBatcher,
     StepPlan,
 )
-from repro.serve.costs import StepPricer, decode_context
+from repro.serve.costs import StepPricer
 from repro.serve.events import (
     CLOCK_EPS,
     Arrival,
@@ -529,50 +529,52 @@ class ServingLoop:
         counts[winner] = counts.get(winner, 0) + steps
 
     def fast_decode_run(self, pool: Pool) -> int:
-        """Commit a run of provably uneventful pure-decode steps on
-        ``pool``.
+        """Commit a run of provable pure-decode steps on ``pool``.
 
-        The discrete-event payoff: when the calendar can prove the next
-        step is a pure decode step whose completion dispatches nothing
-        — no arrival inside the epsilon window, no horizon, nobody
-        reaching their output length, nothing waiting to admit, nobody
-        mid-prefill, no KV block the pool cannot back — the general
-        path's outcome is fully determined, and runs of such steps
-        reduce to their prices plus a metrics sample.
+        The discrete-event payoff: with nothing waiting to admit and
+        nobody mid-prefill, the general path's next steps are pure
+        decode steps whose outcome is fully determined, and runs of
+        such steps reduce to their prices plus a metrics sample.  A run
+        ends *with* the step in which the earliest finisher reaches its
+        output length or the calendar head becomes due (an arrival
+        within the epsilon window), and dispatches what is due there.
 
         Every committed step is what the general path would have done:
         its price is the next value of
         :meth:`~repro.serve.costs.StepPricer.decode_steps` (exactly
-        what ``price`` returns for that step's plan), its clock the
-        same ``max(clock, clock + step_s)`` update, its sample the same
-        values (``live_bytes`` from the ledger's resident-token total,
-        ``reserved_bytes`` and ``pool_util`` as the ledger reports them
-        after the step, every running request one token further per
-        step).  Only the work whose outcome is already known is skipped
-        — planning, per-step ledger growth, the preemption machinery
-        and the finish scan.  The run's growth is charged in one call
-        once the barrier is found: ``grow_each`` on a conservative
-        ledger, which never refuses; on a paged one
+        what ``price`` returns for that step's plan: with every
+        resident prefilled, the ledger's resident-token total is the
+        batch's context), its clock the same ``max(clock, clock +
+        step_s)`` update, its sample the same values (``live_bytes``
+        from the ledger's resident-token total, ``reserved_bytes`` and
+        ``pool_util`` as the ledger reports them after the step, every
+        running request one token further per step).  Only the work
+        whose outcome is already known is skipped — planning, per-step
+        ledger growth and the preemption machinery.  The run's growth
+        is charged in one call once its end is found: ``grow_each`` on
+        a conservative ledger, which never refuses; on a paged one
         :meth:`~repro.moe.memory_model.BlockAllocator.grow_steps`,
         which replays every block crossing in the general path's order
         (step, then arrival) and grows only the steps before the first
-        it refuses.  The samples of the grown steps are built after
-        that.  An ``auto`` pool credits the committed steps to the
-        batch's memoised winner.  Stops *before* any step boundary
-        where an event could be due or a growth is refused, leaving
-        that step to the general path.  Commits at most the steps left
-        under ``max_steps``, adds them to ``steps`` and returns how
-        many it committed.  Only sound when ``pool`` is the run's only
-        pool and its :attr:`~Pool.fast_eligible` holds.
+        it refuses, leaving that step to the general path.  Then the
+        clock moves to the last grown step and what is due there is
+        dispatched, as :meth:`on_step_complete` does, before the
+        samples are built: the last one counts the arrivals that
+        landed.  Requests that finished in that step leave through
+        :meth:`release_finished`.  An ``auto`` pool credits the
+        committed steps to the batch's memoised winner.  Commits at
+        most the steps left under ``max_steps``, adds them to ``steps``
+        and returns how many it committed.  Only sound when ``pool`` is
+        the run's only pool and its :attr:`~Pool.fast_eligible` holds.
         """
         running = pool.running
         if not running or not all(ar.prefilled for ar in running):
             return 0
-        # The step in which the earliest finisher reaches its output
-        # length must run through the general path.
-        limit = min(ar.request.output_tokens - ar.generated
-                    for ar in running) - 1
-        limit = min(limit, self.max_steps - self.steps)
+        # The run ends with the step in which the earliest finisher
+        # reaches its output length.
+        finish_step = min(ar.request.output_tokens - ar.generated
+                          for ar in running)
+        limit = min(finish_step, self.max_steps - self.steps)
         if limit <= 0:
             return 0
         manager = self.manager
@@ -580,21 +582,8 @@ class ServingLoop:
         # events), so the barrier — the earliest event that could
         # become due at a step boundary — is a constant.
         head = manager.queue.peek()
-        barrier = head.when if head is not None else None
+        barrier = head.when if head is not None else float("inf")
         batch = len(running)
-        clock = manager.clock
-        clocks: list[float] = []
-        prices: list[float] = []
-        for step_s in islice(pool.pricer.decode_steps(
-                batch, decode_context(running)), limit):
-            when = clock + step_s
-            if barrier is not None and barrier <= when + CLOCK_EPS:
-                break              # something is due at this boundary
-            clock = clock if clock >= when else when
-            clocks.append(clock)
-            prices.append(step_s)
-        if not prices:
-            return 0
         ledger = pool.ledger
         # The samples start from the run's opening charge.
         static_bytes = ledger.static_bytes
@@ -602,6 +591,17 @@ class ServingLoop:
         reserved_bytes = ledger.reserved_bytes
         util = ledger.pool_utilisation
         residents = ledger.active_requests
+        clock = manager.clock
+        clocks: list[float] = []
+        prices: list[float] = []
+        for step_s in islice(pool.pricer.decode_steps(
+                batch, resident_tokens), limit):
+            when = clock + step_s
+            clock = clock if clock >= when else when
+            clocks.append(clock)
+            prices.append(step_s)
+            if barrier <= when + CLOCK_EPS:
+                break              # something is due at this boundary
         if pool.page_size:
             # The general path grows a decode step's residents in
             # arrival order; the step after the last grown one needs a
@@ -616,33 +616,57 @@ class ServingLoop:
             committed = len(prices)
             crossed = []
             ledger.grow_each([*map(_REQUEST_ID, running)], committed)
+        clock = clocks[committed - 1]
+        manager.clock = clock
+        manager.dispatch_due()
         charges = {step: (reserved, after)
                    for step, reserved, after in crossed}
         config = pool.ctx.config
         samples = self.collector.samples
         busy_s = pool.busy_s
-        for step, clock, step_s in zip(range(1, committed + 1), clocks,
-                                       prices):
+        for step, step_clock, step_s in zip(range(1, committed + 1),
+                                            clocks, prices):
             if step in charges:
                 reserved_bytes, util = charges[step]
             busy_s += step_s
             live_bytes = static_bytes + kv_cache_bytes(
                 config, resident_tokens + step * batch)
-            samples.append(StepSample(clock, 0, residents, batch,
+            samples.append(StepSample(step_clock, 0, residents, batch,
                                       live_bytes, reserved_bytes, util,
                                       0.0, step_s))
+        # Nothing was waiting before the last boundary's dispatch.
+        samples[-1].queue_depth = len(pool.waiting)
         if util > pool.peak_util:
             pool.peak_util = util
         pool.busy_s = busy_s
         pool.steps += committed
         self.steps += committed
-        manager.clock = clock
         for ar in running:
             ar.generated += committed
         winner = pool.pricer.auto_winner(batch)
         if winner is not None:
             self.credit_auto("decode", winner, committed)
+        if committed == finish_step:
+            self.release_finished(pool, [
+                ar for ar in running
+                if ar.generated >= ar.request.output_tokens], clock)
         return committed
+
+    def release_finished(self, pool: Pool, finishers: list[ActiveRequest],
+                         clock: float) -> None:
+        """Retire ``finishers``, which reached their output length in
+        ``pool``'s step completing at ``clock``, in the order given:
+        ``running`` order, which is the collector's finish order and so
+        the summation order of the report's means."""
+        for ar in finishers:
+            pool.running.remove(ar)
+            pool.residents.remove(ar)
+            pool.ledger.release(ar.request.rid)
+            record = self.records[ar.request.rid]
+            record.finished_s = clock
+            self.collector.finish(record)
+            pool.finished += 1
+            pool.tpot_values.append(record.tpot_s)
 
     def route(self, candidates: list[Pool], req: Request,
               phase: str) -> Pool:
@@ -902,8 +926,7 @@ class ServingLoop:
         util = ledger.pool_utilisation
         if util > pool.peak_util:
             pool.peak_util = util
-        collector = self.collector
-        collector.observe(StepSample(
+        self.collector.observe(StepSample(
             clock_s=clock,
             queue_depth=len(pool.waiting),
             running=ledger.active_requests,
@@ -916,19 +939,10 @@ class ServingLoop:
         ))
         if finishers:
             # Release in ``running`` order, which drops any evicted
-            # since: the collector's finish order is the summation
-            # order of the report's means.
-            finishers = list(filter(set(finishers).__contains__,
-                                    running))
-        for ar in finishers:
-            running.remove(ar)
-            residents.remove(ar)
-            ledger.release(ar.request.rid)
-            record = records[ar.request.rid]
-            record.finished_s = clock
-            collector.finish(record)
-            pool.finished += 1
-            pool.tpot_values.append(record.tpot_s)
+            # since.
+            self.release_finished(
+                pool, list(filter(set(finishers).__contains__, running)),
+                clock)
         if self.pending:
             self.retry_migrations()
 

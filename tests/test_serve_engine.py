@@ -30,7 +30,10 @@ from repro.serve import (
     poisson_trace,
     replay_trace,
 )
+from repro.serve.costs import decode_context
 from repro.serve.engine import Pool, ServingEngine, ServingLoop
+from repro.serve.events import CLOCK_EPS
+from repro.workloads.tenants import TenantSpec
 
 CFG = MODEL_REGISTRY["mixtral-8x7b"]
 SEED = 7
@@ -324,11 +327,16 @@ class TestLifecycle:
 
 def count_fast_steps(monkeypatch, engine):
     """The steps each fast run on ``engine``'s pool commits, as a list
-    the runs append to (until ``monkeypatch`` restores the loop)."""
+    the runs append to (until ``monkeypatch`` restores the loop).  A
+    run that opens on a prefilled resident set must open at the
+    ledger's resident-token total, the decode batch's context."""
     committed = []
     fast_run = ServingLoop.fast_decode_run
 
     def counted(loop, pool):
+        running = pool.running
+        if running and all(ar.prefilled for ar in running):
+            assert pool.ledger.resident_tokens == decode_context(running)
         steps = fast_run(loop, pool)
         if pool is engine.pool:
             committed.append(steps)
@@ -342,6 +350,61 @@ def count_fast_steps(monkeypatch, engine):
 FAST_CASES = list(itertools.product(("continuous", "chunked"),
                                     (None, 1, 16), ("samoyeds", "auto"),
                                     (True, False)))
+
+#: (batcher, page size, engine) of the event-boundary cases.
+BOUNDARY_CASES = list(itertools.product(("continuous", "chunked"),
+                                        (None, 16), ("samoyeds", "auto")))
+BOUNDARY_IDS = [f"{b}-{'conservative' if p is None else f'page{p}'}-{e}"
+                for b, p, e in BOUNDARY_CASES]
+
+#: A decode-heavy trace below the a100 KV knee: fast runs end at
+#: finishes and at arrivals.
+BOUNDARY_TRACE = poisson_trace(24, 8.0, prompt_tokens=256,
+                               output_tokens=96, jitter=0.5, seed=17)
+
+
+def serve_report(monkeypatch, batcher, page_size, engine, trace, *,
+                 sanitize, **kwargs):
+    """One-layer a100 report of ``trace`` as sorted JSON, and the steps
+    each fast run committed."""
+    ctx = ExecutionContext.create("mixtral-8x7b", engine, "a100")
+    server = ServingEngine(ctx=ctx, batcher=make_batcher(batcher),
+                           num_layers=1, seed=5, page_size=page_size,
+                           sanitize=sanitize, **kwargs)
+    committed = count_fast_steps(monkeypatch, server)
+    report = server.run(trace)
+    return json.dumps(report.to_dict(), sort_keys=True), committed
+
+
+def fast_runs(monkeypatch, batcher, page_size, engine, trace):
+    """Serve ``trace`` once on the fast path; return the loop and each
+    committing fast run's ``(first sample index, steps)``."""
+    ctx = ExecutionContext.create("mixtral-8x7b", engine, "a100")
+    loop = ServingLoop()
+    pool = Pool(ctx, make_batcher(batcher), num_layers=1, seed=5,
+                page_size=page_size, sanitize=False)
+    runs = []
+    fast_run = ServingLoop.fast_decode_run
+
+    def recorded(self, pool):
+        start = len(self.collector.samples)
+        steps = fast_run(self, pool)
+        if steps:
+            runs.append((start, steps))
+        return steps
+
+    monkeypatch.setattr(ServingLoop, "fast_decode_run", recorded)
+    loop.run([pool], trace)
+    monkeypatch.setattr(ServingLoop, "fast_decode_run", fast_run)
+    return loop, runs
+
+
+def mid_run_boundary(runs):
+    """The sample index of the first step of a fast run of at least
+    three steps, from the middle of the trace: its boundary is inside
+    that run."""
+    starts = [start for start, steps in runs if steps >= 3]
+    return starts[len(starts) // 2]
 
 
 class TestFastPath:
@@ -398,3 +461,156 @@ class TestFastPath:
             assert json.loads(fast)["preemptions"] > 0
             if engine == "samoyeds":
                 assert any(cut)
+
+    @pytest.mark.parametrize("where", ["mid-run", "eps-past-boundary",
+                                       "finish-step"])
+    @pytest.mark.parametrize("batcher,page_size,engine", BOUNDARY_CASES,
+                             ids=BOUNDARY_IDS)
+    def test_horizon_matches_sanitized(self, monkeypatch, batcher,
+                                       page_size, engine, where):
+        """A horizon inside a fast run, within ``CLOCK_EPS`` past one of
+        its step boundaries (no tolerance: the horizon is not due there)
+        or on a step where a request finishes: the fast and sanitized
+        reports agree byte for byte, and both stop after the step the
+        horizon falls in, with every request finished by then."""
+        loop, runs = fast_runs(monkeypatch, batcher, page_size, engine,
+                               BOUNDARY_TRACE)
+        clocks = [sample.clock_s for sample in loop.collector.samples]
+        if where == "finish-step":
+            # A finish step right after a fast step.
+            fast = {start + step for start, steps in runs
+                    for step in range(steps)}
+            finished = {record.finished_s
+                        for record in loop.records.values()}
+            ends = [index for index, clock in enumerate(clocks)
+                    if clock in finished and index - 1 in fast]
+            last = ends[len(ends) // 2]
+            horizon_s = clocks[last]
+        else:
+            start = mid_run_boundary(runs)
+            last = start + 1
+            if where == "mid-run":
+                horizon_s = (clocks[start] + clocks[last]) / 2
+            else:
+                horizon_s = clocks[start] + CLOCK_EPS / 2
+                assert clocks[start] < horizon_s < clocks[last]
+        fast, committed = serve_report(
+            monkeypatch, batcher, page_size, engine, BOUNDARY_TRACE,
+            sanitize=False, horizon_s=horizon_s)
+        checked, _ = serve_report(
+            monkeypatch, batcher, page_size, engine, BOUNDARY_TRACE,
+            sanitize=True, horizon_s=horizon_s)
+        assert fast == checked
+        assert sum(committed) > 0
+        report = json.loads(fast)
+        assert report["steps"] == last + 1
+        assert report["completed"] == sum(
+            1 for record in loop.records.values()
+            if record.finished_s is not None
+            and record.finished_s <= clocks[last])
+        assert report["completed"] < len(BOUNDARY_TRACE)
+
+    @pytest.mark.parametrize("batcher,page_size,engine", BOUNDARY_CASES,
+                             ids=BOUNDARY_IDS)
+    def test_arrival_eps_past_boundary_matches_sanitized(
+            self, monkeypatch, batcher, page_size, engine):
+        """An arrival within ``CLOCK_EPS`` past a step boundary inside a
+        fast run is due at that boundary: the run ends there and its
+        last sample counts the arrival, as the general path's does."""
+        loop, runs = fast_runs(monkeypatch, batcher, page_size, engine,
+                               BOUNDARY_TRACE)
+        start = mid_run_boundary(runs)
+        arrival_s = loop.collector.samples[start].clock_s + CLOCK_EPS / 2
+        trace = replay_trace(
+            [(req.arrival_s, req.prompt_tokens, req.output_tokens)
+             for req in BOUNDARY_TRACE] + [(arrival_s, 256, 96)])
+        fast, committed = serve_report(monkeypatch, batcher, page_size,
+                                       engine, trace, sanitize=False)
+        checked, _ = serve_report(monkeypatch, batcher, page_size,
+                                  engine, trace, sanitize=True)
+        assert fast == checked
+        assert sum(committed) > 0
+
+    @pytest.mark.parametrize("batcher,page_size,engine", BOUNDARY_CASES,
+                             ids=BOUNDARY_IDS)
+    def test_rate_limited_tenants_match_sanitized(self, monkeypatch,
+                                                  batcher, page_size,
+                                                  engine):
+        """Rate-limited tenants: one arrival is larger than its bucket
+        and is rejected, and a throttled queue head with nothing else
+        to run wakes the calendar with a ``RateRefill``.  Fast and
+        sanitized reports agree byte for byte."""
+        records = [{"arrival_s": req.arrival_s,
+                    "prompt_tokens": req.prompt_tokens,
+                    "output_tokens": req.output_tokens, "tenant": "free"}
+                   for req in poisson_trace(12, 20.0, prompt_tokens=256,
+                                            output_tokens=48, seed=13)]
+        records += [
+            {"arrival_s": 0.05, "prompt_tokens": 200,
+             "output_tokens": 100, "tenant": "limited"},
+            {"arrival_s": 0.05, "prompt_tokens": 200,
+             "output_tokens": 100, "tenant": "limited"},
+            {"arrival_s": 0.1, "prompt_tokens": 400,
+             "output_tokens": 100, "tenant": "limited"},
+        ]
+        trace = replay_trace(records)
+        tenants = (TenantSpec("free"),
+                   TenantSpec("limited", token_rate_limit=100.0,
+                              burst_tokens=400))
+        refills = []
+        on_rate_refill = ServingLoop.on_rate_refill
+
+        def counted(loop, event):
+            refills.append(event.when)
+            on_rate_refill(loop, event)
+
+        monkeypatch.setattr(ServingLoop, "on_rate_refill", counted)
+        fast, committed = serve_report(monkeypatch, batcher, page_size,
+                                       engine, trace, sanitize=False,
+                                       tenants=tenants)
+        fast_refills = refills.copy()
+        refills.clear()
+        checked, _ = serve_report(monkeypatch, batcher, page_size,
+                                  engine, trace, sanitize=True,
+                                  tenants=tenants)
+        assert fast == checked
+        assert sum(committed) > 0
+        assert fast_refills and fast_refills == refills
+        limited = json.loads(fast)["tenants"]["limited"]
+        assert limited["rejected"] == 1 and limited["completed"] == 2
+
+    @pytest.mark.parametrize("batcher", ["continuous", "chunked"])
+    def test_general_steps_only_prefill_below_the_knee(self, monkeypatch,
+                                                       batcher):
+        """Below the KV knee on the conservative ledger, a pure decode
+        step never takes the general path: every planned step admits a
+        prompt or a chunk, and every fast call on a prefilled resident
+        set commits a step."""
+        plans = []
+        policy = type(make_batcher(batcher))
+        plan_step = policy.plan_step
+
+        def planned(self, *args):
+            plan = plan_step(self, *args)
+            if not plan.empty:
+                plans.append(bool(plan.prefill or plan.chunks))
+            return plan
+
+        monkeypatch.setattr(policy, "plan_step", planned)
+        idle = []
+        fast_run = ServingLoop.fast_decode_run
+
+        def watched(loop, pool):
+            running = pool.running
+            prefilled = bool(running) and all(ar.prefilled
+                                              for ar in running)
+            steps = fast_run(loop, pool)
+            idle.append(prefilled and not steps)
+            return steps
+
+        monkeypatch.setattr(ServingLoop, "fast_decode_run", watched)
+        _, committed = serve_report(monkeypatch, batcher, None,
+                                    "samoyeds", BOUNDARY_TRACE,
+                                    sanitize=False)
+        assert plans and all(plans)
+        assert sum(committed) > 0 and not any(idle)
